@@ -81,7 +81,7 @@ module Replica = struct
     mutable rlog : Wal.t;
     (* the (single, serial) transaction currently being streamed *)
     mutable cur_txn : int option;
-    mutable cur_writes : (int * bytes) list; (* reversed *)
+    mutable cur_deltas : Wal.entry list; (* reversed *)
   }
 
   let rlog_path path = path ^ ".rlog"
@@ -122,7 +122,7 @@ module Replica = struct
       base_commits = 0; next_lsn = 0; applied_commits = 0;
       pager = Pager.create ~vfs path;
       rlog = Wal.open_ ~vfs (rlog_path path);
-      cur_txn = None; cur_writes = [] }
+      cur_txn = None; cur_deltas = [] }
 
   let name t = t.name
   let env t = t.env
@@ -138,30 +138,44 @@ module Replica = struct
       ignore (Pager.allocate t.pager)
     done
 
-  (* Continuous redo: collect the streamed transaction's after-images
-     and apply them when (and only when) its commit record arrives.
-     The primary runs one write transaction at a time, so the stream
-     never interleaves transactions. *)
-  let redo_record t e =
+  (* Patch the replica's pages with a log fragment (unverified reads:
+     after a crash a page may be torn, and the rewrite re-checksums). *)
+  let apply_entries t entries =
+    Recovery.apply_log entries
+      ~read:(fun page ->
+        ensure_page t page;
+        Pager.read_unverified t.pager page)
+      ~write:(Pager.write t.pager)
+
+  (* Track the streamed transaction: a [Begin] opens the collection of
+     its deltas, which are returned and reset by its [Commit]. *)
+  let collect t e =
     match e with
     | Wal.Begin id ->
       t.cur_txn <- Some id;
-      t.cur_writes <- []
-    | Wal.After (id, page, img) ->
-      if t.cur_txn = Some id then t.cur_writes <- (page, img) :: t.cur_writes
-    | Wal.Commit id ->
-      if t.cur_txn = Some id then begin
-        List.iter
-          (fun (page, img) ->
-            ensure_page t page;
-            Pager.write t.pager page img)
-          (List.rev t.cur_writes);
-        Obs.Counter.add m_redo (List.length t.cur_writes);
-        t.cur_txn <- None;
-        t.cur_writes <- [];
-        t.applied_commits <- t.applied_commits + 1
-      end
-    | Wal.Before _ | Wal.Checkpoint -> ()
+      t.cur_deltas <- [];
+      None
+    | Wal.Delta (id, _, _) ->
+      if t.cur_txn = Some id then t.cur_deltas <- e :: t.cur_deltas;
+      None
+    | Wal.Commit id when t.cur_txn = Some id ->
+      let deltas = List.rev t.cur_deltas in
+      t.cur_txn <- None;
+      t.cur_deltas <- [];
+      Some deltas
+    | Wal.Commit _ | Wal.Checkpoint -> None
+
+  (* Continuous redo: collect the streamed transaction's deltas and
+     patch them in when (and only when) its commit record arrives.  The
+     primary runs one write transaction at a time, so the stream never
+     interleaves transactions. *)
+  let redo_record t e =
+    match collect t e with
+    | Some deltas ->
+      ignore (apply_entries t (deltas @ [ e ]));
+      Obs.Counter.add m_redo (List.length deltas);
+      t.applied_commits <- t.applied_commits + 1
+    | None -> ()
 
   let apply_record t e =
     Wal.append t.rlog e;
@@ -196,7 +210,7 @@ module Replica = struct
     t.next_lsn <- lsn;
     t.applied_commits <- commits;
     t.cur_txn <- None;
-    t.cur_writes <- [];
+    t.cur_deltas <- [];
     persist_meta t
 
   let fence t = Frame.Fence { epoch = t.epoch }
@@ -273,8 +287,8 @@ module Replica = struct
   (* Reboot after [kill]: reread the meta, truncate the rlog's torn
      tail, rebuild the data pages by replaying the whole received log
      over the (possibly stale) on-disk base.  Replay uses the same
-     log-order image resolution as crash recovery, so a transaction
-     whose commit record is missing from the clean prefix is undone. *)
+     log-order patching as crash recovery, so a transaction whose
+     commit record is missing from the clean prefix is undone. *)
   let restart t =
     let epoch, base_lsn, base_commits = read_meta t.vfs t.path in
     t.epoch <- epoch;
@@ -282,11 +296,7 @@ module Replica = struct
     t.base_commits <- base_commits;
     let scan = Wal.scan ~vfs:t.vfs (rlog_path t.path) in
     t.pager <- Pager.create ~vfs:t.vfs t.path;
-    let _redone, _undone =
-      Recovery.apply_log scan.Wal.entries ~write:(fun page img ->
-          ensure_page t page;
-          Pager.write t.pager page img)
-    in
+    ignore (apply_entries t scan.Wal.entries);
     Pager.sync t.pager;
     t.rlog <- Wal.open_ ~vfs:t.vfs (rlog_path t.path);
     t.next_lsn <- base_lsn + List.length scan.Wal.entries;
@@ -298,24 +308,10 @@ module Replica = struct
              scan.Wal.entries);
     (* A torn frame can leave the clean log mid-transaction; rebuild the
        in-flight collection state so the resent commit record still
-       finds its after-images and applies them. *)
+       finds its deltas and applies them. *)
     t.cur_txn <- None;
-    t.cur_writes <- [];
-    List.iter
-      (fun e ->
-        match e with
-        | Wal.Begin id ->
-          t.cur_txn <- Some id;
-          t.cur_writes <- []
-        | Wal.After (id, page, img) ->
-          if t.cur_txn = Some id then t.cur_writes <- (page, img) :: t.cur_writes
-        | Wal.Commit id ->
-          if t.cur_txn = Some id then begin
-            t.cur_txn <- None;
-            t.cur_writes <- []
-          end
-        | Wal.Before _ | Wal.Checkpoint -> ())
-      scan.Wal.entries;
+    t.cur_deltas <- [];
+    List.iter (fun e -> ignore (collect t e)) scan.Wal.entries;
     t.up <- true
 
   (* Make the replica's files a complete, openable store: settle the
@@ -510,11 +506,17 @@ module Cluster = struct
             send_to t peer
               (Frame.Append
                  { epoch = t.epoch; base_lsn = peer.acked_lsn; payload }))
+      | None when Engine.in_txn t.engine ->
+        (* Not now: a copy of the data file taken mid-transaction can
+           hold pages stolen by a transaction that may still abort, and
+           neither its (unlogged) rollback nor later deltas would repair
+           them on the replica.  The next heartbeat or commit retries. *)
+        ()
       | None ->
         t.counters.snapshots <- t.counters.snapshots + 1;
         Obs.Counter.incr m_snapshots;
         Obs.Span.with_span "repl.catchup.snapshot" (fun () ->
-            if not (Engine.in_txn t.engine) then Engine.checkpoint t.engine;
+            Engine.checkpoint t.engine;
             send_to t peer
               (Frame.Snapshot
                  { epoch = t.epoch; lsn = t.next_lsn; commits = t.commits;
@@ -670,7 +672,7 @@ module Cluster = struct
            t.next_lsn <- lsn + 1;
            (match entry with
            | Wal.Commit _ -> t.commits <- t.commits + 1
-           | Wal.Begin _ | Wal.Before _ | Wal.After _ | Wal.Checkpoint -> ());
+           | Wal.Begin _ | Wal.Delta _ | Wal.Checkpoint -> ());
            retain t lsn (Wal.encode_entry entry)));
     Engine.set_commit_hook engine (Some (ship_commit t));
     t

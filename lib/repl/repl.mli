@@ -4,9 +4,9 @@
     ({!Hyper_storage.Wal.set_on_append}) and ships every record, in its
     on-disk encoding, to N replicas over {!Hyper_net.Channel.Link}
     message links.  Each replica appends the records to its own
-    received log, syncs it, applies committed transactions' images to
-    its pager (continuous redo — the same log-order image resolution
-    crash recovery uses), and acknowledges.  The engine's commit hook
+    received log, syncs it, patches committed transactions' deltas into
+    its pager (continuous redo — the same log-order patching crash
+    recovery uses), and acknowledges.  The engine's commit hook
     then gates the commit on the cluster's ack {!policy}.
 
     Failure handling is the point:
@@ -56,8 +56,7 @@ module Replica : sig
   val restart : t -> unit
   (** Reboot after {!kill}: truncate the received log's torn tail and
       rebuild the data pages by replaying the clean prefix over the
-      on-disk base (log-order image resolution, uncommitted tail
-      undone). *)
+      on-disk base (log-order patching, uncommitted tail undone). *)
 
   val finalize : t -> unit
   (** Settle the files to disk and release the handles, so a fresh

@@ -270,7 +270,15 @@ let discard_dirty t =
 
 let invalidate t page_id = Hashtbl.remove t.frames page_id
 
+let mark_clean t page_id =
+  match Hashtbl.find_opt t.frames page_id with
+  | Some f -> f.dirty <- false
+  | None -> ()
+
 let set_txn_hooks t ~on_first_dirty ~on_evict_dirty =
+  (* A new window: pages dirtied before it (formatting runs outside any
+     transaction) must report their before-image again. *)
+  Hashtbl.reset t.first_dirty_seen;
   t.on_first_dirty <- on_first_dirty;
   t.on_evict_dirty <- on_evict_dirty
 
@@ -281,8 +289,8 @@ let clear_txn_hooks t =
 (* Live buffers: a dirty frame always owns its data (COW in mark_dirty),
    so the returned bytes are the frame contents themselves, valid until
    the page is next mutated.  Callers serialize immediately (the engine
-   appends After images to the WAL before returning to user code) and
-   must not retain them. *)
+   diffs them into WAL deltas before returning to user code) and must
+   not retain them. *)
 let take_dirty_set t =
   let dirty =
     Hashtbl.fold

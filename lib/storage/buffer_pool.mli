@@ -7,9 +7,10 @@
 
     Transactional hooks: [on_first_dirty] fires with the page's clean
     before-image the first time a page is dirtied after the last
-    [take_dirty_set]; the disk backend uses it to capture undo images for
-    its write-ahead log.  [on_evict_dirty] fires just before a dirty page
-    is stolen so its after-image can be logged first (write-ahead rule).
+    [take_dirty_set]; the disk backend keeps it as the base its
+    write-ahead log records are diffed against.  [on_evict_dirty] fires
+    just before a dirty page is stolen so its changes can be logged
+    first (write-ahead rule).
 
     The buffer pool is the lever behind the benchmark's cold/warm
     distinction: [drop_all] empties the cache, which is what "close the
@@ -64,21 +65,28 @@ val discard_dirty : t -> unit
 val invalidate : t -> int -> unit
 (** Forget any cached copy of one page (without writing it back). *)
 
+val mark_clean : t -> int -> unit
+(** Clear a cached page's dirty flag without writing it back — for a
+    dirty frame whose bytes are known to equal the data file's copy.
+    A no-op for pages not in the pool. *)
+
 val set_txn_hooks :
   t ->
   on_first_dirty:(int -> bytes -> unit) ->
   on_evict_dirty:(int -> bytes -> unit) ->
   unit
-(** Both hooks receive {e live} page buffers: [on_first_dirty] the
-    page's clean before-image (mutated by the caller as soon as the
-    hook returns), [on_evict_dirty] the dirty after-image about to be
-    written back.  A hook must serialize or copy what it retains before
-    returning — appending to the WAL counts as serializing. *)
+(** Installing hooks opens a new first-dirty window, as
+    {!take_dirty_set} does.  Both hooks receive {e live} page buffers:
+    [on_first_dirty] the page's clean before-image (mutated by the
+    caller as soon as the hook returns), [on_evict_dirty] the dirty
+    after-image about to be written back.  A hook must serialize or
+    copy what it retains before returning — appending to the WAL
+    counts as serializing. *)
 
 val clear_txn_hooks : t -> unit
 
 val take_dirty_set : t -> (int * bytes) list
-(** Current dirty pages and contents (after-images for commit), and reset
+(** Current dirty pages and contents (what commit logs), and reset
     the first-dirty tracking so subsequent writes fire [on_first_dirty]
     again. Frames remain cached and dirty until flushed.
 

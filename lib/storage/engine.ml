@@ -15,7 +15,14 @@ let m_checkpoints =
   Obs.Counter.make "hyper_txn_checkpoints_total"
     ~help:"WAL-size-triggered checkpoints"
 
-type txn = { id : int; undo : (int, bytes) Hashtbl.t }
+(* [undo] holds each dirtied page's pre-transaction image, the base
+   every Delta is diffed against; [stolen] the pages whose changes
+   already reached the data file through an eviction. *)
+type txn = {
+  id : int;
+  undo : (int, bytes) Hashtbl.t;
+  stolen : (int, unit) Hashtbl.t;
+}
 
 type t = {
   pager : Pager.t;
@@ -103,32 +110,44 @@ let current_txn t =
   | Some txn -> txn
   | None -> invalid_arg "Engine: no active transaction"
 
+(* The ranges [txn]'s next record for [page] carries, against its
+   pre-image.  Once the page has been stolen, the data file may hold
+   bytes that were since changed back to their pre-image value; a diff
+   would not cover them, so every later record redoes the whole page. *)
+let delta_ranges txn page img =
+  let pre = Hashtbl.find txn.undo page in
+  if Hashtbl.mem txn.stolen page then Wal.whole_page pre img
+  else Wal.diff pre img
+
 let begin_txn t =
   if t.read_only then raise (Storage_error.Error Storage_error.Read_only);
   if t.txn <> None then invalid_arg "Engine: nested transaction";
   t.txn_counter <- t.txn_counter + 1;
   Obs.Counter.incr m_begins;
-  let txn = { id = t.txn_counter; undo = Hashtbl.create 64 } in
+  let txn =
+    { id = t.txn_counter; undo = Hashtbl.create 64; stolen = Hashtbl.create 8 }
+  in
   t.txn <- Some txn;
   Wal.append t.wal (Wal.Begin txn.id);
   Buffer_pool.set_txn_hooks t.pool
     ~on_first_dirty:(fun page img ->
-      if not (Hashtbl.mem txn.undo page) then begin
-        (* [img] is the live frame buffer (pool hook contract): the undo
-           set outlives this call, so snapshot it.  The WAL append
-           serializes the same snapshot before the caller mutates the
-           page. *)
-        let img = Bytes.copy img in
-        Hashtbl.add txn.undo page img;
-        Wal.append t.wal (Wal.Before (txn.id, page, img))
-      end)
+      (* [img] is the live frame buffer (pool hook contract): the undo
+         set outlives this call, so snapshot it.  Nothing is logged
+         yet — the page's Delta is diffed against this snapshot at
+         commit, or at a steal. *)
+      if not (Hashtbl.mem txn.undo page) then
+        Hashtbl.add txn.undo page (Bytes.copy img))
     ~on_evict_dirty:(fun page img ->
-      (* Write-ahead rule: log the redo image before the steal hits disk. *)
-      Wal.append t.wal (Wal.After (txn.id, page, img));
-      try Wal.flush t.wal
-      with e when is_wal_full e ->
-        t.read_only <- true;
-        raise e)
+      (* Write-ahead rule: log the stolen bytes before they hit disk. *)
+      match delta_ranges txn page img with
+      | [] -> ()
+      | ranges -> (
+        Hashtbl.replace txn.stolen page ();
+        Wal.append t.wal (Wal.Delta (txn.id, page, ranges));
+        try Wal.flush t.wal
+        with e when is_wal_full e ->
+          t.read_only <- true;
+          raise e))
 
 (* Roll the open transaction back in memory: discard in-pool writes,
    restore stolen pages from the undo set, re-attach the owner's roots
@@ -156,27 +175,33 @@ let maybe_checkpoint t =
 
 type ticket = { txn_id : int; wait : unit -> unit }
 
-(* First phase of commit: log the after-images and the commit record,
-   issue (and, without a group scheduler, fsync) the log, flush the pool
-   and leave the engine in a clean non-transactional state.  With a
-   group scheduler the durability barrier is deferred: the returned
-   ticket's [wait] blocks until a group fsync covers the commit record.
-   The flush-before-register ordering the scheduler relies on holds
-   because both happen here, under whatever serialization the caller
-   already imposes on engine calls.
+(* First phase of commit: log a Delta per changed page and the commit
+   record, issue (and, without a group scheduler, fsync) the log, flush
+   the pool and leave the engine in a clean non-transactional state.
+   With a group scheduler the durability barrier is deferred: the
+   returned ticket's [wait] blocks until a group fsync covers the commit
+   record.  The flush-before-register ordering the scheduler relies on
+   holds because both happen here, under whatever serialization the
+   caller already imposes on engine calls.
 
    Note the pool write-back can reach the data file before the group
    fsync.  That is safe under the FIFO write-back model (DESIGN.md §15):
-   the before/after images were issued to the log first, so any
-   persisted prefix that includes a page write also includes the undo
-   records recovery needs to roll an unacked transaction back. *)
+   the deltas were issued to the log first, so any persisted prefix
+   that includes a page write also includes the undo bytes recovery
+   needs to roll an unacked transaction back. *)
 let commit_ticket t =
   let txn = current_txn t in
   t.on_save ();
   let dirty = Buffer_pool.take_dirty_set t.pool in
   (try
      List.iter
-       (fun (page, img) -> Wal.append t.wal (Wal.After (txn.id, page, img)))
+       (fun (page, img) ->
+         match delta_ranges txn page img with
+         | [] ->
+           (* Dirtied but byte-identical, never stolen: the data file
+              already holds these bytes. *)
+           Buffer_pool.mark_clean t.pool page
+         | ranges -> Wal.append t.wal (Wal.Delta (txn.id, page, ranges)))
        dirty;
      Wal.append t.wal (Wal.Commit txn.id);
      (match t.group with

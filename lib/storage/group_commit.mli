@@ -14,7 +14,7 @@
 
     Correctness rests on two orderings, both established by the caller:
     flush-before-register (so the snapshot covers every member's bytes)
-    and the write-ahead rule (before-images flushed before any page
+    and the write-ahead rule (deltas flushed before any page
     write-back), which is what lets a crash between the page writes and
     the group fsync roll unacked members back on recovery.
 

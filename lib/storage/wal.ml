@@ -22,12 +22,61 @@ let g_size =
   Obs.Gauge.make "hyper_wal_size_bytes"
     ~help:"bytes issued to the log file since the last truncate"
 
+type range = { off : int; old_bytes : bytes; new_bytes : bytes }
+
 type entry =
   | Begin of int
-  | Before of int * int * bytes
-  | After of int * int * bytes
+  | Delta of int * int * range list
   | Commit of int
   | Checkpoint
+
+(* Equal bytes between two differences that still share one range:
+   splitting there would cost a 4-byte range header, more than the
+   bytes saved. *)
+let merge_gap = 2
+
+let diff old_page new_page =
+  let n = Bytes.length new_page in
+  if Bytes.length old_page <> n then invalid_arg "Wal.diff: length mismatch";
+  let same i = Bytes.unsafe_get old_page i = Bytes.unsafe_get new_page i in
+  let ranges = ref [] in
+  let i = ref 0 in
+  while !i < n do
+    (* skip an equal stretch, a word at a time where possible *)
+    while
+      !i + 8 <= n
+      && Int64.equal (Bytes.get_int64_ne old_page !i)
+           (Bytes.get_int64_ne new_page !i)
+    do
+      i := !i + 8
+    done;
+    while !i < n && same !i do
+      incr i
+    done;
+    if !i < n then begin
+      (* a range: [start, stop), [stop] one past its last differing
+         byte; it closes at the first run of more than [merge_gap]
+         equal bytes *)
+      let start = !i in
+      let stop = ref (start + 1) in
+      i := !stop;
+      while !i < n && !i - !stop <= merge_gap do
+        if not (same !i) then stop := !i + 1;
+        incr i
+      done;
+      let len = !stop - start in
+      ranges :=
+        { off = start;
+          old_bytes = Bytes.sub old_page start len;
+          new_bytes = Bytes.sub new_page start len }
+        :: !ranges
+    end
+  done;
+  List.rev !ranges
+
+let whole_page old_page new_page =
+  [ { off = 0; old_bytes = Bytes.copy old_page;
+      new_bytes = Bytes.copy new_page } ]
 
 type t = {
   path : string;
@@ -43,10 +92,9 @@ let entry_magic = 0xA7
 
 let kind_of = function
   | Begin _ -> 1
-  | Before _ -> 2
-  | After _ -> 3
   | Commit _ -> 4
   | Checkpoint -> 5
+  | Delta _ -> 6
 
 (* Cheap rolling checksum — only needs to catch torn/garbled tails. *)
 let checksum b =
@@ -54,16 +102,56 @@ let checksum b =
   Bytes.iter (fun c -> h := (((!h lsl 5) + !h) + Char.code c) land 0x3FFFFFFF) b;
   !h
 
+(* Delta payload: per range a u16 offset, a u16 length, the old bytes
+   and the new bytes. *)
+let range_header = 4
+
 let payload_of = function
   | Begin _ | Commit _ | Checkpoint -> Bytes.empty
-  | Before (_, _, img) | After (_, _, img) -> img
+  | Delta (_, _, ranges) ->
+    let size =
+      List.fold_left
+        (fun acc r -> acc + range_header + (2 * Bytes.length r.new_bytes))
+        0 ranges
+    in
+    let b = Bytes.create size in
+    ignore
+      (List.fold_left
+         (fun pos r ->
+           let len = Bytes.length r.new_bytes in
+           Page.set_u16 b pos r.off;
+           Page.set_u16 b (pos + 2) len;
+           Bytes.blit r.old_bytes 0 b (pos + range_header) len;
+           Bytes.blit r.new_bytes 0 b (pos + range_header + len) len;
+           pos + range_header + (2 * len))
+         0 ranges);
+    b
+
+(* Inverse of [payload_of] for a Delta; [None] when the ranges do not
+   tile the payload exactly or fall outside a page. *)
+let ranges_of_payload b =
+  let n = Bytes.length b in
+  let rec go pos acc =
+    if pos = n then Some (List.rev acc)
+    else if pos + range_header > n then None
+    else begin
+      let off = Page.get_u16 b pos and len = Page.get_u16 b (pos + 2) in
+      let body = pos + range_header in
+      if off + len > Page.size || body + (2 * len) > n then None
+      else
+        go (body + (2 * len))
+          ({ off; old_bytes = Bytes.sub b body len;
+             new_bytes = Bytes.sub b (body + len) len }
+          :: acc)
+    end
+  in
+  go 0 []
 
 let ids_of = function
   | Begin t -> (t, 0)
   | Commit t -> (t, 0)
   | Checkpoint -> (0, 0)
-  | Before (t, p, _) -> (t, p)
-  | After (t, p, _) -> (t, p)
+  | Delta (t, p, _) -> (t, p)
 
 let header_bytes = 14
 
@@ -116,10 +204,12 @@ let decode_prefix data len =
           let entry =
             match kind with
             | 1 -> Some (Begin txn)
-            | 2 -> Some (Before (txn, page, payload))
-            | 3 -> Some (After (txn, page, payload))
             | 4 -> Some (Commit txn)
             | 5 -> Some Checkpoint
+            | 6 ->
+              Option.map
+                (fun ranges -> Delta (txn, page, ranges))
+                (ranges_of_payload payload)
             | _ -> None
           in
           match entry with
@@ -252,7 +342,9 @@ let read_all ?(vfs = Vfs.real) path = (scan ~vfs path).entries
 
 let entry_to_string = function
   | Begin t -> Printf.sprintf "begin(%d)" t
-  | Before (t, p, _) -> Printf.sprintf "before(%d, page %d)" t p
-  | After (t, p, _) -> Printf.sprintf "after(%d, page %d)" t p
+  | Delta (t, p, ranges) ->
+    Printf.sprintf "delta(%d, page %d, %d ranges, %d bytes)" t p
+      (List.length ranges)
+      (List.fold_left (fun acc r -> acc + Bytes.length r.new_bytes) 0 ranges)
   | Commit t -> Printf.sprintf "commit(%d)" t
   | Checkpoint -> "checkpoint"

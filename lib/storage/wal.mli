@@ -1,26 +1,44 @@
 (** Write-ahead log (R10: logging, backup and recovery).
 
-    ARIES-lite, page-granular:
+    ARIES-lite, byte-range deltas:
 
     - [Begin t] opens transaction [t];
-    - [Before (t, p, img)] is logged when [p] is first dirtied inside [t]
-      (undo image);
-    - [After (t, p, img)] is logged at commit for every dirty page, and
-      earlier if a dirty page must be stolen by the buffer pool (redo
-      image, honouring the write-ahead rule);
+    - [Delta (t, p, ranges)] records the bytes [t] changed on page [p]:
+      each range carries the page's bytes at that offset before the
+      transaction first dirtied it ([old_bytes], the undo half) and
+      their new value ([new_bytes], the redo half).  It is logged for
+      every changed page at commit, and earlier when a dirty page must
+      be stolen by the buffer pool (write-ahead rule);
     - [Commit t] seals the transaction;
     - [Checkpoint] states that all committed work has reached the main
       file, allowing log truncation.
 
+    Recovery patches pages in place, so it relies on every byte that
+    differs between two states of a page since the last checkpoint
+    lying inside some logged range (DESIGN.md §15).
+
     Entries carry a checksum; {!read_all} stops cleanly at a torn or
     corrupt tail, which is what makes crash-recovery tests meaningful. *)
 
+type range = { off : int; old_bytes : bytes; new_bytes : bytes }
+(** [old_bytes] and [new_bytes] have equal length and lie at page
+    offset [off]. *)
+
 type entry =
   | Begin of int
-  | Before of int * int * bytes
-  | After of int * int * bytes
+  | Delta of int * int * range list
   | Commit of int
   | Checkpoint
+
+val diff : bytes -> bytes -> range list
+(** [diff old_page new_page] — the ranges where two equal-length pages
+    differ, in offset order.  Runs of differing bytes separated by at
+    most two equal bytes share one range (each range costs four bytes
+    of framing).  [[]] when the pages are identical.
+    @raise Invalid_argument if the lengths differ. *)
+
+val whole_page : bytes -> bytes -> range list
+(** One range spanning both pages in full (copies of both). *)
 
 type t
 

@@ -125,9 +125,37 @@ let test_checkpoint_truncates_wal () =
       check Alcotest.int "wal truncated" 0 (Engine.wal_bytes e);
       ignore path)
 
+(* A page dirtied back to its original bytes is neither logged nor
+   written back at commit. *)
+let test_unchanged_page_skipped () =
+  with_engine "unchanged" (fun e path ->
+      let pool = Engine.pool e in
+      Engine.begin_txn e;
+      let a = Buffer_pool.allocate pool in
+      let b = Buffer_pool.allocate pool in
+      Buffer_pool.with_page_w pool a (fun p -> Bytes.fill p 0 8 'a');
+      Buffer_pool.with_page_w pool b (fun p -> Bytes.fill p 0 8 'b');
+      Engine.commit e;
+      Engine.checkpoint e;
+      Engine.begin_txn e;
+      Buffer_pool.with_page_w pool a (fun p -> Bytes.set p 0 'x');
+      Buffer_pool.with_page_w pool a (fun p -> Bytes.set p 0 'a');
+      Buffer_pool.with_page_w pool b (fun p -> Bytes.set p 0 'y');
+      let writes0 = (Pager.stats (Engine.pager e)).Pager.writes in
+      Engine.commit e;
+      let pages_logged =
+        List.filter_map
+          (function Wal.Delta (_, p, _) -> Some p | _ -> None)
+          (Wal.read_all (path ^ ".wal"))
+      in
+      check (Alcotest.list Alcotest.int) "only the changed page is logged"
+        [ b ] pages_logged;
+      check Alcotest.int "only the changed page is written back" 1
+        ((Pager.stats (Engine.pager e)).Pager.writes - writes0))
+
 let test_wal_before_after_ordering () =
-  (* The WAL must contain Begin, then a Before for each first-dirty page,
-     then After images, then Commit. *)
+  (* The WAL must contain Begin, then a Delta for each changed page —
+     diffed against the page's pre-image — then Commit. *)
   let path = temp_path "order" in
   let e = Engine.open_ ~path ~pool_pages:8 () in
   let pool = Engine.pool e in
@@ -152,8 +180,7 @@ let test_wal_before_after_ordering () =
     List.map
       (function
         | Wal.Begin _ -> "begin"
-        | Wal.Before _ -> "before"
-        | Wal.After _ -> "after"
+        | Wal.Delta _ -> "delta"
         | Wal.Commit _ -> "commit"
         | Wal.Checkpoint -> "checkpoint")
       entries
@@ -161,22 +188,37 @@ let test_wal_before_after_ordering () =
   check Alcotest.bool "starts with begin" true (List.hd kinds = "begin");
   check Alcotest.bool "ends with commit" true
     (List.nth kinds (List.length kinds - 1) = "commit");
-  check Alcotest.bool "has before image" true (List.mem "before" kinds);
-  check Alcotest.bool "has after image" true (List.mem "after" kinds);
-  (* Every Before precedes every After for the same page set. *)
-  let first_after =
-    List.mapi (fun i k -> (i, k)) kinds
-    |> List.find_opt (fun (_, k) -> k = "after")
+  (* The freshly allocated page's pre-image is the zero page, so its
+     delta's old bytes are all zero and its new bytes are the write. *)
+  let zero_based =
+    List.exists
+      (function
+        | Wal.Delta (_, p, ranges) ->
+          p = id
+          && List.for_all
+               (fun (r : Wal.range) ->
+                 Bytes.for_all (fun c -> c = '\000') r.old_bytes)
+               ranges
+          && List.exists
+               (fun (r : Wal.range) ->
+                 r.off = 0 && Bytes.sub_string r.new_bytes 0 4 = "zzzz")
+               ranges
+        | Wal.Begin _ | Wal.Commit _ | Wal.Checkpoint -> false)
+      entries
   in
-  let last_before =
+  check Alcotest.bool "has a delta whose old bytes are the zero page" true
+    zero_based;
+  (* Every Delta precedes the Commit. *)
+  let commit_at =
     List.mapi (fun i k -> (i, k)) kinds
-    |> List.filter (fun (_, k) -> k = "before")
-    |> List.rev |> List.hd
+    |> List.find (fun (_, k) -> k = "commit")
+    |> fst
   in
-  (match (first_after, last_before) with
-  | Some (ia, _), (ib, _) ->
-    if ib > ia then Alcotest.fail "a Before appears after an After"
-  | None, _ -> ());
+  List.iteri
+    (fun i k ->
+      if k = "delta" && i > commit_at then
+        Alcotest.fail "a Delta appears after the Commit")
+    kinds;
   (try Engine.close e with _ -> ());
   List.iter
     (fun p -> if Sys.file_exists p then Sys.remove p)
@@ -358,6 +400,36 @@ let test_group_commit_multiuser_shares_fsyncs () =
         check Alcotest.int "one fsync per group" fsyncs (g - g0)
       | _ -> Alcotest.fail "group commit not enabled")
 
+(* WAL volume: a small update logs the bytes it changed, not whole
+   pages.  One set_hundred touches a heap record and moves an entry of
+   the hundred index (a few pages); with full page images it appended
+   about 32 KB. *)
+let test_small_commit_wal_bytes () =
+  let module D = Hyper_diskdb.Diskdb in
+  let path = temp_path "wal_bytes" in
+  let db = D.open_db (D.default_config ~path) in
+  Fun.protect
+    ~finally:(fun () ->
+      (try D.close db with _ -> ());
+      List.iter
+        (fun p -> if Sys.file_exists p then Sys.remove p)
+        [ path; path ^ ".sum"; path ^ ".wal" ])
+    (fun () ->
+      let module G = Hyper_core.Generator.Make (D) in
+      let layout, _ = G.generate db ~doc:1 ~leaf_level:4 ~seed:7L in
+      let oid =
+        Hyper_core.Layout.random_node layout (Hyper_util.Prng.create 7L)
+      in
+      let engine = D.engine db in
+      let before = Engine.wal_bytes engine in
+      D.begin_txn db;
+      D.set_hundred db oid (99 - D.hundred db oid);
+      D.commit db;
+      let appended = Engine.wal_bytes engine - before in
+      if appended >= Page.size then
+        Alcotest.failf "one set_hundred commit appended %d WAL bytes (>= %d)"
+          appended Page.size)
+
 (* --- codec properties --- *)
 
 let link_gen =
@@ -464,6 +536,10 @@ let () =
           Alcotest.test_case "hooks fire" `Quick test_reload_hook_fires_on_abort;
           Alcotest.test_case "checkpoint truncates wal" `Quick
             test_checkpoint_truncates_wal;
+          Alcotest.test_case "unchanged page skipped" `Quick
+            test_unchanged_page_skipped;
+          Alcotest.test_case "small commit logs under a page" `Quick
+            test_small_commit_wal_bytes;
           Alcotest.test_case "wal entry ordering" `Quick
             test_wal_before_after_ordering;
         ] );

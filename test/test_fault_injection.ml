@@ -19,6 +19,8 @@ module Wal = Hyper_storage.Wal
 module Pager = Hyper_storage.Pager
 module Page = Hyper_storage.Page
 module Recovery = Hyper_storage.Recovery
+module Engine = Hyper_storage.Engine
+module Buffer_pool = Hyper_storage.Buffer_pool
 
 let check = Alcotest.check
 
@@ -259,18 +261,24 @@ let test_checksum_detects_corruption () =
 (* --- torn WAL tails exactly on entry boundaries --- *)
 
 let wal_entry_bytes e =
-  (* header + payload + crc, mirroring the on-disk framing *)
-  14 + Bytes.length (match e with
-    | Wal.Before (_, _, img) | Wal.After (_, _, img) -> img
-    | Wal.Begin _ | Wal.Commit _ | Wal.Checkpoint -> Bytes.empty) + 4
+  (* header + payload + crc, mirroring the on-disk framing; a Delta
+     payload is a 4-byte header plus old and new bytes per range *)
+  14
+  + (match e with
+    | Wal.Delta (_, _, ranges) ->
+      List.fold_left
+        (fun a (r : Wal.range) -> a + 4 + (2 * Bytes.length r.new_bytes))
+        0 ranges
+    | Wal.Begin _ | Wal.Commit _ | Wal.Checkpoint -> 0)
+  + 4
 
 let test_torn_tail_on_entry_boundary () =
   let path = temp_path "tornwal" in
   cleanup path;
-  let img = Bytes.make Page.size 'w' in
+  let delta = Wal.diff (Page.alloc ()) (Bytes.make Page.size 'w') in
   let entries =
-    [ Wal.Begin 1; Wal.After (1, 0, img); Wal.Commit 1; Wal.Begin 2;
-      Wal.After (2, 1, img) ]
+    [ Wal.Begin 1; Wal.Delta (1, 0, delta); Wal.Commit 1; Wal.Begin 2;
+      Wal.Delta (2, 1, delta) ]
   in
   let wal = Wal.open_ path in
   List.iter (Wal.append wal) entries;
@@ -287,7 +295,7 @@ let test_torn_tail_on_entry_boundary () =
   in
   let prefix3 =
     wal_entry_bytes (Wal.Begin 1)
-    + wal_entry_bytes (Wal.After (1, 0, img))
+    + wal_entry_bytes (Wal.Delta (1, 0, delta))
     + wal_entry_bytes (Wal.Commit 1)
   in
   (* Tear exactly on the boundary before the final entry... *)
@@ -308,16 +316,17 @@ let test_torn_tail_on_entry_boundary () =
     (List.length (Wal.read_all path));
   cleanup path
 
-(* --- a Before image past the data file's end must not crash recovery --- *)
+(* --- an undo range past the data file's end must not crash recovery --- *)
 
 let test_undo_beyond_page_count () =
   let path = temp_path "beyond" in
   cleanup path;
   let wal_path = path ^ ".wal" in
-  let img = Bytes.make Page.size 'u' in
   let wal = Wal.open_ wal_path in
   Wal.append wal (Wal.Begin 7);
-  Wal.append wal (Wal.Before (7, 5, img)); (* page 5 of an empty file *)
+  (* page 5 of an empty file; its old bytes are 'u' *)
+  Wal.append wal
+    (Wal.Delta (7, 5, Wal.diff (Bytes.make Page.size 'u') (Page.alloc ())));
   Wal.flush wal;
   Wal.close wal;
   check Alcotest.bool "log demands recovery" true
@@ -325,16 +334,184 @@ let test_undo_beyond_page_count () =
   let pager = Pager.create path in
   check Alcotest.int "data file starts empty" 0 (Pager.page_count pager);
   let report = Recovery.recover ~wal_path pager in
-  check Alcotest.int "file extended to cover the image" 6
+  check Alcotest.int "file extended to cover the delta" 6
     (Pager.page_count pager);
   check (Alcotest.list Alcotest.int) "txn rolled back" [ 7 ]
     report.Recovery.rolled_back;
   check Alcotest.int "one page undone" 1 report.Recovery.pages_undone;
-  check Alcotest.char "undo image applied" 'u'
+  check Alcotest.char "old bytes applied" 'u'
     (Bytes.get (Pager.read pager 5) 0);
   Pager.close pager;
   cleanup path;
   cleanup wal_path
+
+(* --- Delta records under crashes: the engine over Vfs.Faulty --- *)
+
+(* Crashes here are untorn; tears are planted by hand afterwards, so the
+   torn state is exact rather than a PRNG draw. *)
+let untorn = { F.quiet with F.torn_writes = false }
+let delta_path = "/delta/db"
+
+let open_delta_engine vfs =
+  Engine.open_ ~vfs ~path:delta_path ~pool_pages:4 ~durable_sync:true ()
+
+(* Five committed pages of 'o', checkpointed, with an empty pool.  After
+   a write to [target] and reads of three fillers the pool is full, so
+   reading the fourth filler steals [target]. *)
+let setup_delta_pages e =
+  let pool = Engine.pool e in
+  Engine.begin_txn e;
+  let ids = List.init 5 (fun _ -> Buffer_pool.allocate pool) in
+  List.iter
+    (fun id ->
+      Buffer_pool.with_page_w pool id (fun p -> Bytes.fill p 0 Page.size 'o'))
+    ids;
+  Engine.commit e;
+  Engine.checkpoint e;
+  Engine.clear_caches e;
+  match ids with target :: fillers -> (target, fillers) | [] -> assert false
+
+let read_pages e ids =
+  List.iter (fun id -> Buffer_pool.with_page (Engine.pool e) id ignore) ids
+
+let set_byte e id off c =
+  Buffer_pool.with_page_w (Engine.pool e) id (fun p -> Bytes.set p off c)
+
+(* Run [f], which must die at the [nth] mutating VFS op from now; then
+   lose power (every issued write survives) and disarm. *)
+let crash_at_write env ~nth f =
+  F.arm_crash env ~after_writes:nth ();
+  (match f () with
+  | () -> Alcotest.fail "expected the planted crash"
+  | exception V.Crash -> ());
+  F.power_fail env;
+  F.set_plan env untorn
+
+let data_file vfs = vfs.V.open_rw delta_path
+
+let raw_byte vfs ~page ~off =
+  let b = Bytes.create 1 in
+  (data_file vfs).V.pread ~buf:b ~off:((page * Page.size) + off);
+  Bytes.get b 0
+
+(* Overwrite one byte of the data file behind the checksum sidecar's
+   back: the page then mixes two states, as a torn write leaves it. *)
+let tear vfs ~page ~off c =
+  (data_file vfs).V.pwrite ~buf:(Bytes.make 1 c) ~off:((page * Page.size) + off)
+
+let deltas_for vfs page =
+  List.filter_map
+    (function
+      | Wal.Delta (_, p, ranges) when p = page -> Some ranges
+      | Wal.Delta _ | Wal.Begin _ | Wal.Commit _ | Wal.Checkpoint -> None)
+    (Wal.read_all ~vfs (delta_path ^ ".wal"))
+
+(* Reopen (running recovery) and read [page] through the verifying
+   pager: a stale checksum would raise here. *)
+let recovered_page vfs page =
+  let e = open_delta_engine vfs in
+  let img = Pager.read (Engine.pager e) page in
+  let report = Engine.recovery e in
+  Engine.close e;
+  (img, report)
+
+(* (a) A byte changed, stolen by eviction, changed back; the commit
+   crashes before its page flush, leaving the stolen value on disk. *)
+let test_delta_steal_then_revert () =
+  let env = F.create untorn in
+  let vfs = F.vfs env in
+  let e = open_delta_engine vfs in
+  let target, fillers = setup_delta_pages e in
+  Engine.begin_txn e;
+  set_byte e target 100 'X';
+  read_pages e fillers (* steals [target] with byte 100 = 'X' *);
+  set_byte e target 100 'o';
+  set_byte e target 200 'Y';
+  (* commit: WAL pwrite, fsync, then the data-page pwrite crashes *)
+  crash_at_write env ~nth:2 (fun () -> Engine.commit e);
+  check Alcotest.char "stolen value on disk" 'X'
+    (raw_byte vfs ~page:target ~off:100);
+  (match deltas_for vfs target with
+  | [ _steal; [ { Wal.off = 0; new_bytes; _ } ] ] ->
+    check Alcotest.int "commit redoes the stolen page whole" Page.size
+      (Bytes.length new_bytes)
+  | l -> Alcotest.failf "expected steal + whole-page delta, got %d" (List.length l));
+  let img, report = recovered_page vfs target in
+  check Alcotest.bool "recovery ran" true (report <> None);
+  check Alcotest.char "reverted byte" 'o' (Bytes.get img 100);
+  check Alcotest.char "committed byte" 'Y' (Bytes.get img 200)
+
+(* (b) A data-page write torn between two states, on a page covered
+   only by Delta records: redone when its transaction committed. *)
+let test_delta_torn_page_redo () =
+  let env = F.create untorn in
+  let vfs = F.vfs env in
+  let e = open_delta_engine vfs in
+  let target, _ = setup_delta_pages e in
+  Engine.begin_txn e;
+  set_byte e target 10 'A';
+  set_byte e target 4000 'B';
+  crash_at_write env ~nth:2 (fun () -> Engine.commit e);
+  (* Only the first changed byte of the page write landed. *)
+  tear vfs ~page:target ~off:10 'A';
+  let probe = Pager.create ~vfs delta_path in
+  (match Pager.read probe target with
+  | _ -> Alcotest.fail "torn page should fail verification"
+  | exception E.Error (E.Corrupt_page _) -> ());
+  Pager.close probe;
+  let img, report = recovered_page vfs target in
+  (match report with
+  | Some r -> check (Alcotest.list Alcotest.int) "committed" [ 2 ] r.Recovery.committed
+  | None -> Alcotest.fail "recovery did not run");
+  check Alcotest.char "byte 10 redone" 'A' (Bytes.get img 10);
+  check Alcotest.char "byte 4000 redone" 'B' (Bytes.get img 4000);
+  check Alcotest.char "untouched byte" 'o' (Bytes.get img 2000)
+
+(* (b) ... and undone when its transaction was in flight: the steal's
+   page write is torn. *)
+let test_delta_torn_page_undo () =
+  let env = F.create untorn in
+  let vfs = F.vfs env in
+  let e = open_delta_engine vfs in
+  let target, fillers = setup_delta_pages e in
+  Engine.begin_txn e;
+  set_byte e target 10 'A';
+  set_byte e target 4000 'B';
+  (* the steal: WAL pwrite, then the data-page pwrite crashes *)
+  crash_at_write env ~nth:2 (fun () -> read_pages e fillers);
+  tear vfs ~page:target ~off:10 'A';
+  let img, report = recovered_page vfs target in
+  (match report with
+  | Some r ->
+    check (Alcotest.list Alcotest.int) "rolled back" [ 2 ] r.Recovery.rolled_back
+  | None -> Alcotest.fail "recovery did not run");
+  check Alcotest.char "byte 10 undone" 'o' (Bytes.get img 10);
+  check Alcotest.char "byte 4000 undone" 'o' (Bytes.get img 4000)
+
+(* (c) A cleanly aborted transaction stole the page; a later committed
+   transaction rewrote one of the same bytes.  Log order decides: the
+   aborted txn's old bytes, then the committed txn's new bytes. *)
+let test_delta_aborted_steal_then_commit () =
+  let env = F.create untorn in
+  let vfs = F.vfs env in
+  let e = open_delta_engine vfs in
+  let target, fillers = setup_delta_pages e in
+  Engine.begin_txn e;
+  set_byte e target 10 'A';
+  set_byte e target 20 'B';
+  read_pages e fillers;
+  Engine.abort e;
+  Engine.begin_txn e;
+  set_byte e target 10 'C';
+  crash_at_write env ~nth:2 (fun () -> Engine.commit e);
+  let img, report = recovered_page vfs target in
+  (match report with
+  | Some r ->
+    check (Alcotest.list Alcotest.int) "committed" [ 3 ] r.Recovery.committed;
+    check (Alcotest.list Alcotest.int) "rolled back" [ 2 ] r.Recovery.rolled_back
+  | None -> Alcotest.fail "recovery did not run");
+  check Alcotest.char "later commit wins" 'C' (Bytes.get img 10);
+  check Alcotest.char "aborted write undone" 'o' (Bytes.get img 20)
 
 (* --- the I/O seam: no direct Unix calls outside the VFS layer --- *)
 
@@ -398,5 +575,13 @@ let () =
             test_undo_beyond_page_count;
           Alcotest.test_case "no direct I/O outside the VFS" `Quick
             test_no_direct_io_in_storage;
+          Alcotest.test_case "delta: steal then revert" `Quick
+            test_delta_steal_then_revert;
+          Alcotest.test_case "delta: torn page redone" `Quick
+            test_delta_torn_page_redo;
+          Alcotest.test_case "delta: torn page undone" `Quick
+            test_delta_torn_page_undo;
+          Alcotest.test_case "delta: aborted steal then commit" `Quick
+            test_delta_aborted_steal_then_commit;
         ] );
     ]

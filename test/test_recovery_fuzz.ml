@@ -106,7 +106,7 @@ let run_workload env ~path ~batches ~in_flight =
              million = 1; payload = Schema.P_internal }
        done;
        (* Neither committed nor aborted: the crash takes it down.  Force
-          some steal activity so Before images reach the WAL. *)
+          some steal activity so steal deltas reach the WAL. *)
        B.abort b
      end;
      B.close b

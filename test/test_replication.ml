@@ -21,6 +21,9 @@ open Hyper_check
 module Vfs = Hyper_storage.Vfs
 module Wal = Hyper_storage.Wal
 module Page = Hyper_storage.Page
+module Pager = Hyper_storage.Pager
+module Engine = Hyper_storage.Engine
+module Buffer_pool = Hyper_storage.Buffer_pool
 module Storage_error = Hyper_storage.Storage_error
 module D = Hyper_diskdb.Diskdb
 module Link = Hyper_net.Channel.Link
@@ -47,13 +50,18 @@ let test_torn_tail () =
   let vfs = Vfs.Faulty.vfs env in
   let wal = Wal.open_ ~vfs "/t/log" in
   let entries =
-    [ Wal.Begin 1; Wal.After (1, 0, Bytes.make 16 'a'); Wal.Commit 1 ]
+    [ Wal.Begin 1;
+      Wal.Delta (1, 0, Wal.diff (Bytes.make 16 '\000') (Bytes.make 16 'a'));
+      Wal.Commit 1 ]
   in
   List.iter (Wal.append wal) entries;
   Wal.sync wal;
   Wal.close wal;
   (* Tear: append a prefix of a valid record — a crash mid-append. *)
-  let torn = Wal.encode_entry (Wal.After (2, 1, Bytes.make 16 'b')) in
+  let torn =
+    Wal.encode_entry
+      (Wal.Delta (2, 1, Wal.diff (Bytes.make 16 '\000') (Bytes.make 16 'b')))
+  in
   let f = vfs.Vfs.open_rw "/t/log" in
   let clean_len = f.Vfs.size () in
   f.Vfs.pwrite ~buf:(Bytes.sub torn 0 (Bytes.length torn - 5)) ~off:clean_len;
@@ -82,7 +90,8 @@ let test_torn_frame_nak () =
   let whole =
     Bytes.concat Bytes.empty
       [ Wal.encode_entry (Wal.Begin 1);
-        Wal.encode_entry (Wal.After (1, 0, Bytes.make Page.size 'x'));
+        Wal.encode_entry
+          (Wal.Delta (1, 0, Wal.diff (Page.alloc ()) (Bytes.make Page.size 'x')));
         Wal.encode_entry (Wal.Commit 1) ]
   in
   let torn = Bytes.sub whole 0 (Bytes.length whole - 4) in
@@ -362,6 +371,61 @@ let test_catchup_snapshot () =
     (D.stored_result_count recovered >= 0);
   D.close recovered
 
+(* A snapshot copy taken while a transaction is open could carry a
+   page that transaction stole and then rolled back without logging;
+   the deltas shipped after it would patch that stale page, never
+   replace it.  Snapshots therefore wait for a transaction boundary. *)
+let test_snapshot_waits_for_txn_boundary () =
+  let env = Vfs.Faulty.create Vfs.Faulty.quiet in
+  let vfs = Vfs.Faulty.vfs env in
+  let path = "/snap/db" in
+  let e = Engine.open_ ~vfs ~path ~pool_pages:4 () in
+  let pool = Engine.pool e in
+  Engine.begin_txn e;
+  let pages = List.init 7 (fun _ -> Buffer_pool.allocate pool) in
+  List.iter
+    (fun id ->
+      Buffer_pool.with_page_w pool id (fun p -> Bytes.fill p 0 Page.size 'o'))
+    pages;
+  Engine.commit e;
+  Engine.clear_caches e;
+  let target, dirty, read =
+    match pages with
+    | t :: a :: b :: c :: rest -> (t, [ a; b; c ], rest)
+    | _ -> assert false
+  in
+  let r = Replica.create ~name:"snap" () in
+  (* A tail of three records: the open transaction below outgrows it,
+     so catching up mid-transaction would need a snapshot. *)
+  let cluster =
+    Cluster.create
+      ~cfg:{ Cluster.default_config with Cluster.retain_records = 3 }
+      ~engine:e ~vfs ~path ~replicas:[ r ] ()
+  in
+  Engine.begin_txn e;
+  List.iter
+    (fun id -> Buffer_pool.with_page_w pool id (fun p -> Bytes.set p 10 'A'))
+    (target :: dirty);
+  (* Three reads of uncached pages steal [target] and two others. *)
+  List.iter (fun id -> Buffer_pool.with_page pool id ignore) read;
+  Cluster.heartbeat cluster;
+  Engine.abort e;
+  Engine.begin_txn e;
+  Buffer_pool.with_page_w pool target (fun p -> Bytes.set p 20 'C');
+  Engine.commit e;
+  Cluster.heartbeat cluster;
+  check Alcotest.int "replica caught up" (Cluster.lsn cluster)
+    (Replica.next_lsn r);
+  let replica_pager = Pager.create ~vfs:(Replica.vfs r) (Replica.path r) in
+  let img = Pager.read replica_pager target in
+  Pager.close replica_pager;
+  check Alcotest.char "aborted write absent on the replica" 'o'
+    (Bytes.get img 10);
+  check Alcotest.char "committed write present on the replica" 'C'
+    (Bytes.get img 20);
+  Cluster.detach cluster;
+  Engine.close e
+
 (* --- failover fuzz exercises kill/restart and both catch-up paths --- *)
 
 let test_failover_with_replica_crash () =
@@ -437,6 +501,8 @@ let () =
         [
           Alcotest.test_case "log replay" `Quick test_catchup_replay;
           Alcotest.test_case "snapshot copy" `Quick test_catchup_snapshot;
+          Alcotest.test_case "snapshot waits for a txn boundary" `Quick
+            test_snapshot_waits_for_txn_boundary;
         ] );
     ]
 

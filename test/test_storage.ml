@@ -510,15 +510,29 @@ let page_of_char c =
 let test_wal_roundtrip () =
   let path = temp_path "wal" in
   let wal = Wal.open_ path in
+  (* Two deltas: one full-page range, and three ranges on a page
+     whose edits are scattered (gaps of 1, 2 and 3 equal bytes — the
+     first two merge, the third splits). *)
+  let scattered = page_of_char 'a' in
+  List.iter (fun i -> Bytes.set scattered i 'x') [ 10; 12; 15; 19; 4095 ];
   let entries =
     [
       Wal.Begin 1;
-      Wal.Before (1, 2, page_of_char 'a');
-      Wal.After (1, 2, page_of_char 'b');
+      Wal.Delta (1, 2, Wal.diff (page_of_char 'a') (page_of_char 'b'));
+      Wal.Delta (1, 3, Wal.diff (page_of_char 'a') scattered);
       Wal.Commit 1;
       Wal.Checkpoint;
     ]
   in
+  (match entries with
+  | [ _; Wal.Delta (_, _, whole); Wal.Delta (_, _, split); _; _ ] ->
+    check (Alcotest.list (Alcotest.pair Alcotest.int Alcotest.int))
+      "whole-page range" [ (0, Page.size) ]
+      (List.map (fun (r : Wal.range) -> (r.off, Bytes.length r.new_bytes)) whole);
+    check (Alcotest.list (Alcotest.pair Alcotest.int Alcotest.int))
+      "scattered ranges" [ (10, 6); (19, 1); (4095, 1) ]
+      (List.map (fun (r : Wal.range) -> (r.off, Bytes.length r.new_bytes)) split)
+  | _ -> assert false);
   List.iter (Wal.append wal) entries;
   Wal.flush wal;
   let back = Wal.read_all path in
@@ -526,7 +540,8 @@ let test_wal_roundtrip () =
   List.iter2
     (fun a b ->
       check Alcotest.string "entry" (Wal.entry_to_string a)
-        (Wal.entry_to_string b))
+        (Wal.entry_to_string b);
+      check Alcotest.bool "ranges round-trip" true (a = b))
     entries back;
   Wal.close wal;
   Sys.remove path
@@ -535,7 +550,7 @@ let test_wal_torn_tail () =
   let path = temp_path "torn" in
   let wal = Wal.open_ path in
   Wal.append wal (Wal.Begin 1);
-  Wal.append wal (Wal.After (1, 0, page_of_char 'x'));
+  Wal.append wal (Wal.Delta (1, 0, Wal.diff (Page.alloc ()) (page_of_char 'x')));
   Wal.append wal (Wal.Commit 1);
   Wal.flush wal;
   let full = (Unix.stat path).Unix.st_size in
@@ -557,11 +572,11 @@ let test_recovery_redo () =
       let wal_path = temp_path "redo_wal" in
       let p0 = Pager.allocate pager in
       Pager.write pager p0 (page_of_char 'o');
-      (* Committed txn whose after-image never reached the main file. *)
+      (* Committed txn whose new bytes never reached the main file. *)
       let wal = Wal.open_ wal_path in
       Wal.append wal (Wal.Begin 1);
-      Wal.append wal (Wal.Before (1, p0, page_of_char 'o'));
-      Wal.append wal (Wal.After (1, p0, page_of_char 'n'));
+      Wal.append wal
+        (Wal.Delta (1, p0, Wal.diff (page_of_char 'o') (page_of_char 'n')));
       Wal.append wal (Wal.Commit 1);
       Wal.flush wal;
       Wal.close wal;
@@ -580,14 +595,14 @@ let test_recovery_undo () =
       Pager.write pager p0 (page_of_char 'u');
       let wal = Wal.open_ wal_path in
       Wal.append wal (Wal.Begin 9);
-      Wal.append wal (Wal.Before (9, p0, page_of_char 'o'));
-      Wal.append wal (Wal.After (9, p0, page_of_char 'u'));
+      Wal.append wal
+        (Wal.Delta (9, p0, Wal.diff (page_of_char 'o') (page_of_char 'u')));
       Wal.flush wal;
       Wal.close wal;
       let report = Recovery.recover ~wal_path pager in
       check (Alcotest.list Alcotest.int) "rolled back" [ 9 ]
         report.Recovery.rolled_back;
-      check Alcotest.char "before image restored" 'o'
+      check Alcotest.char "old bytes restored" 'o'
         (Bytes.get (Pager.read pager p0) 0);
       Sys.remove wal_path)
 
@@ -600,11 +615,13 @@ let test_recovery_mixed () =
       let wal = Wal.open_ wal_path in
       (* txn 1 commits a change to p0; txn 2 crashes mid-flight on p1. *)
       Wal.append wal (Wal.Begin 1);
-      Wal.append wal (Wal.Before (1, p0, page_of_char '0'));
-      Wal.append wal (Wal.After (1, p0, page_of_char 'A'));
+      Wal.append wal
+        (Wal.Delta (1, p0, Wal.diff (page_of_char '0') (page_of_char 'A')));
       Wal.append wal (Wal.Commit 1);
       Wal.append wal (Wal.Begin 2);
-      Wal.append wal (Wal.Before (2, p1, page_of_char '1'));
+      (* the steal's delta precedes its page write (write-ahead rule) *)
+      Wal.append wal
+        (Wal.Delta (2, p1, Wal.diff (page_of_char '1') (page_of_char 'Z')));
       Wal.flush wal;
       Wal.close wal;
       Pager.write pager p1 (page_of_char 'Z') (* stolen uncommitted write *);
@@ -623,7 +640,8 @@ let test_recovery_checkpoint_bound () =
       Pager.write pager p0 (page_of_char 'k');
       let wal = Wal.open_ wal_path in
       Wal.append wal (Wal.Begin 1);
-      Wal.append wal (Wal.After (1, p0, page_of_char 'x'));
+      Wal.append wal
+        (Wal.Delta (1, p0, Wal.diff (page_of_char 'k') (page_of_char 'x')));
       Wal.append wal (Wal.Commit 1);
       Wal.append wal Wal.Checkpoint;
       Wal.flush wal;
