@@ -588,12 +588,7 @@ let cmd_multiuser =
    - per-operation cold/warm ms/node plus minor-heap words allocated
      per node returned (the zero-copy read path shows up here), and
    - a durable multi-user leg on a real file: committed txns against
-     real WAL fsyncs (group commit shows up here as fsyncs/commit < 1).
-
-   `--baseline` re-measures with the pre-group-commit, pre-zero-copy
-   behaviour ({!Hyper_storage.Storage_tuning.legacy_copies} plus no
-   group scheduler) so the trajectory can be regenerated from one
-   binary. *)
+     real WAL fsyncs (group commit shows up here as fsyncs/commit < 1). *)
 
 let bench_group_config =
   { Hyper_storage.Group_commit.max_batch = 8; max_hold_ns = 5e6 }
@@ -619,14 +614,14 @@ let bench_operations ~path ~level ~seed ~reps ~ops =
           (m, if nodes = 0 then 0.0 else words /. float_of_int nodes))
         ops)
 
-let bench_multiuser ~path ~level ~seed ~users ~txns ~baseline =
+let bench_multiuser ~path ~level ~seed ~users ~txns =
   let module D = Hyper_diskdb.Diskdb in
   let module E = Hyper_storage.Engine in
   remove_store path;
   let config =
     { (D.default_config ~path) with
       D.durable_sync = true;
-      group_commit = (if baseline then None else Some bench_group_config) }
+      group_commit = Some bench_group_config }
   in
   let db = D.open_db config in
   Fun.protect
@@ -643,17 +638,13 @@ let bench_multiuser ~path ~level ~seed ~users ~txns ~baseline =
       (* The group-commit seam: commit point inside the db mutex, the
          durability wait outside it, so concurrent committers coalesce
          into one fsync barrier. *)
-      let commit =
-        if baseline then None
-        else
-          Some
-            (fun () ->
-              let tk = E.commit_ticket engine in
-              fun () -> E.await_durable engine tk)
+      let commit () =
+        let tk = E.commit_ticket engine in
+        fun () -> E.await_durable engine tk
       in
       let module M = Multiuser.Make (D) in
       let r =
-        M.run ?commit db layout ~mode:Multiuser.Two_phase_locking ~users
+        M.run ~commit db layout ~mode:Multiuser.Two_phase_locking ~users
           ~txns_per_user:txns ~hot_fraction:0.0 ~seed
       in
       let fsyncs = E.wal_sync_count engine - syncs0 in
@@ -684,7 +675,7 @@ let bench_t7_matrix ~level ~seed ~users ~txns =
         [ 0; 2 ])
     [ Multiuser.Two_phase_locking; Multiuser.Optimistic; Multiuser.Mvcc ]
 
-let bench_json ~mode ~level ~seed ~reps ~users ~txns ~op_results
+let bench_json ~level ~seed ~reps ~users ~txns ~op_results
     ~(mu : Multiuser.result) ~fsyncs ~groups ~matrix =
   let module J = Hyper_util.Sjson in
   let ops_json =
@@ -714,7 +705,7 @@ let bench_json ~mode ~level ~seed ~reps ~users ~txns ~op_results
     [ ( "meta",
         J.Obj
           [ ("schema", J.Num 1.0);
-            ("mode", J.Str mode);
+            ("mode", J.Str "current");
             ("backend", J.Str "diskdb");
             ("level", J.Num (float_of_int level));
             ("reps", J.Num (float_of_int reps));
@@ -756,42 +747,35 @@ let bench_json ~mode ~level ~seed ~reps ~users ~txns ~op_results
              matrix) ) ]
 
 let cmd_bench =
-  let run level seed reps ops users txns baseline json =
-    let module Tuning = Hyper_storage.Storage_tuning in
-    Tuning.legacy_copies := baseline;
+  let run level seed reps ops users txns json =
+    let path = Filename.temp_file "hyperbench_bench" ".db" in
     Fun.protect
-      ~finally:(fun () -> Tuning.legacy_copies := false)
+      ~finally:(fun () -> remove_store path)
       (fun () ->
-        let path = Filename.temp_file "hyperbench_bench" ".db" in
-        Fun.protect
-          ~finally:(fun () -> remove_store path)
-          (fun () ->
-            let ops = if ops = [] then [ "01"; "05A"; "10"; "16" ] else ops in
-            let op_results = bench_operations ~path ~level ~seed ~reps ~ops in
-            let mu, fsyncs, groups =
-              bench_multiuser ~path ~level ~seed ~users ~txns ~baseline
-            in
-            let matrix = bench_t7_matrix ~level ~seed ~users:4 ~txns:25 in
-            let mode = if baseline then "baseline" else "current" in
-            let doc =
-              bench_json ~mode ~level ~seed ~reps ~users ~txns ~op_results ~mu
-                ~fsyncs ~groups ~matrix
-            in
-            let s = Hyper_util.Sjson.to_string doc in
-            (match json with
-            | None -> print_string s
-            | Some file ->
-              write_file file s;
-              Printf.printf "bench (%s) -> %s\n" mode file);
-            Printf.printf
-              "multiuser: committed=%d fsyncs=%d (%.3f/commit)%s\n"
-              mu.Multiuser.committed fsyncs
-              (if mu.Multiuser.committed = 0 then 0.0
-               else float_of_int fsyncs /. float_of_int mu.Multiuser.committed)
-              (match groups with
-              | None -> ""
-              | Some (g, members) ->
-                Printf.sprintf " groups=%d members=%d" g members)))
+        let ops = if ops = [] then [ "01"; "05A"; "10"; "16" ] else ops in
+        let op_results = bench_operations ~path ~level ~seed ~reps ~ops in
+        let mu, fsyncs, groups =
+          bench_multiuser ~path ~level ~seed ~users ~txns
+        in
+        let matrix = bench_t7_matrix ~level ~seed ~users:4 ~txns:25 in
+        let doc =
+          bench_json ~level ~seed ~reps ~users ~txns ~op_results ~mu ~fsyncs
+            ~groups ~matrix
+        in
+        let s = Hyper_util.Sjson.to_string doc in
+        (match json with
+        | None -> print_string s
+        | Some file ->
+          write_file file s;
+          Printf.printf "bench -> %s\n" file);
+        Printf.printf "multiuser: committed=%d fsyncs=%d (%.3f/commit)%s\n"
+          mu.Multiuser.committed fsyncs
+          (if mu.Multiuser.committed = 0 then 0.0
+           else float_of_int fsyncs /. float_of_int mu.Multiuser.committed)
+          (match groups with
+          | None -> ""
+          | Some (g, members) ->
+            Printf.sprintf " groups=%d members=%d" g members))
   in
   let ops_arg =
     Arg.(value & opt (list string) [] & info [ "ops" ] ~docv:"IDS"
@@ -804,12 +788,6 @@ let cmd_bench =
   let txns_arg =
     Arg.(value & opt int 25 & info [ "txns" ] ~docv:"N"
            ~doc:"Transactions per user for the durable multiuser leg.")
-  in
-  let baseline_arg =
-    Arg.(value & flag & info [ "baseline" ]
-           ~doc:"Measure with legacy copies and without group commit — \
-                 the pre-optimisation reference point of the committed \
-                 trajectory.")
   in
   let json_arg =
     Arg.(value & opt (some string) None & info [ "json" ] ~docv:"FILE"
@@ -830,7 +808,7 @@ let cmd_bench =
           multiuser leg) and emit JSON for $(b,hyperbench diff).")
     Term.(
       const run $ level_small $ seed_arg $ reps_small $ ops_arg $ users_arg
-      $ txns_arg $ baseline_arg $ json_arg)
+      $ txns_arg $ json_arg)
 
 (* --- diff --- *)
 

@@ -179,9 +179,9 @@ module type S = sig
       objects; the socket backend has no local state).  Must be called
       outside a transaction.  The view is a first-class backend value:
       reads on it are unaffected by later writes to the original, and
-      writing to it never affects the original.  The MVCC server uses
-      this to serve read-only snapshot sessions that bypass the engine
-      lease. *)
+      writing to it never affects the original.  The socket server
+      uses this to serve read-only snapshot sessions that never wait
+      behind another session's transaction. *)
 
   (** {2 Introspection} *)
 

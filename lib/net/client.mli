@@ -61,9 +61,10 @@ val in_txn : t -> bool
 
 val snapshot : t -> active:bool -> unit
 (** Toggle snapshot mode on the session.  With [active:true] the server
-    pins a consistent read-only view of the committed state; subsequent
-    batches on this connection read the view without taking the engine
-    lease (they proceed while a writer session holds it), and any
+    pins a consistent read-only view of the committed state (waiting
+    while another session's transaction is open); subsequent batches on
+    this connection read the view and never park (they proceed while a
+    writer session's transaction is open), and any
     mutation or transaction-control op in them returns
     [Raised "Snapshot_read_only"].  With [active:false] the view is
     dropped and the session reads live state again.

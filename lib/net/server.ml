@@ -1,6 +1,5 @@
 open Hyper_core
 module Obs = Hyper_obs.Obs
-module Sync = Hyper_util.Sync
 
 let m_sessions = Obs.Counter.make "hyper_net_sessions_total"
 let m_requests = Obs.Counter.make "hyper_net_requests_total"
@@ -17,14 +16,17 @@ type session = {
   sid : int;
   fd : Unix.file_descr;
   dec : Wire.request Wire.Decoder.t;
-  mutable in_txn : bool;
-  mutable holds_lease : bool;
+  mutable out : bytes;  (* the reply being written; empty when none *)
+  mutable sent : int;  (* bytes of [out] the kernel has taken *)
+  mutable in_txn : bool;  (* this session owns the open transaction *)
   mutable snap : Backend.instance option;
-      (* snapshot mode: batches read this detached view, lease-free *)
-  mutable closing : bool;
-  mutable thread : Thread.t option;
+      (* snapshot mode: batches read this detached view *)
+  mutable parked : Wire.request option;
+      (* decoded, waiting for another session's transaction to close *)
+  mutable closing : bool;  (* read no more; close once [out] is written *)
 }
 
+(* Everything but the two atomics is owned by the loop thread. *)
 type t = {
   name : string;
   reraise : exn -> bool;
@@ -33,47 +35,71 @@ type t = {
   instance : Backend.instance;
   address : Netaddr.t;
   listen_fd : Unix.file_descr;
-  engine : Sync.Mutex.t;  (* the lease; see server.mli *)
-  lock : Sync.Mutex.t;  (* guards sessions/flags below *)
-  mutable sessions : session list;
-  mutable draining : bool;
-  mutable drain_grace : float;
-  mutable killed : bool;
+  sessions : (Unix.file_descr, session) Hashtbl.t;
+  waiting : session Queue.t;  (* parked sessions, oldest first *)
+  buf : bytes;
+  drain_at : int64 option Atomic.t;  (* grace deadline, set by [drain] *)
+  killed : bool Atomic.t;
   mutable crash : exn option;
+  mutable listening : bool;
+  mutable accept_failed : bool;  (* leave [listen_fd] out for a tick *)
   mutable next_sid : int;
-  mutable accept_thread : Thread.t option;
+  mutable thread : Thread.t option;
 }
 
 let addr t = t.address
 let crashed t = t.crash
-
-let locked t f = Sync.Mutex.with_lock t.lock f
-
-let session_count t = locked t (fun () -> List.length t.sessions)
+let session_count t = Hashtbl.length t.sessions
 
 (* --- socket plumbing --- *)
 
 let close_quiet fd = try Unix.close fd with Unix.Unix_error _ -> ()
 
+let would_block = function
+  | Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR -> true
+  | _ -> false
+
+let pending sess = sess.sent < Bytes.length sess.out
+
 (* Sockets are not store files: the Vfs seam covers page/WAL I/O, and
    crash injection for the served backend happens underneath it.  The
-   network byte stream talks to the OS directly. *)
-let[@lint.allow "vfs-boundary"] send_all fd payload =
-  let len = Bytes.length payload in
-  let off = ref 0 in
-  while !off < len do
-    let n = Unix.write fd payload !off (len - !off) in
-    if n <= 0 then raise (Unix.Unix_error (Unix.EPIPE, "write", ""));
-    off := !off + n
-  done
+   network byte stream talks to the OS directly.  Write what the kernel
+   takes; the rest waits for a writable tick. *)
+let[@lint.allow "vfs-boundary"] rec flush sess =
+  if pending sess then
+    match
+      Unix.single_write sess.fd sess.out sess.sent
+        (Bytes.length sess.out - sess.sent)
+    with
+    | n ->
+      sess.sent <- sess.sent + n;
+      flush sess
+    | exception Unix.Unix_error (e, _, _) when would_block e -> ()
+    | exception Unix.Unix_error _ ->
+      sess.out <- Bytes.empty;
+      sess.closing <- true
+
+(* Frames are decoded only while nothing is pending (see [pump]), so a
+   session never has more than one reply to write. *)
+let send sess resp =
+  sess.out <- Wire.encode_response resp;
+  sess.sent <- 0;
+  flush sess
+
+let[@lint.allow "vfs-boundary"] receive t sess =
+  match Unix.read sess.fd t.buf 0 (Bytes.length t.buf) with
+  | 0 -> sess.closing <- true (* EOF *)
+  | n -> Wire.Decoder.feed sess.dec t.buf ~off:0 ~len:n
+  | exception Unix.Unix_error (e, _, _) when would_block e -> ()
+  | exception Unix.Unix_error _ -> sess.closing <- true
 
 (* --- session execution --- *)
 
-let release_lease t sess =
-  if sess.holds_lease then begin
-    sess.holds_lease <- false;
-    Sync.Mutex.unlock t.engine
-  end
+let fault rid code message =
+  Obs.Counter.incr m_faults;
+  Wire.Fault { rid; code; message }
+
+let unit_reply rid = Wire.Results { rid; outcomes = [ Trace.Done Trace.V_unit ] }
 
 let rollback t sess =
   (* The client vanished (or drain expired) mid-transaction. *)
@@ -81,263 +107,236 @@ let rollback t sess =
     (match Trace.apply ~layout:t.layout t.instance Trace.Abort with
     | Trace.Done _ | Trace.Raised _ -> ());
     sess.in_txn <- false
-  end;
-  release_lease t sess
+  end
 
-(* Snapshot mode: the batch reads the session's detached view and never
-   touches the engine lease — a pipelined snapshot read proceeds while
-   another session's writer transaction holds it.  Anything that could
-   change state (or pretends to: transaction control) is refused. *)
-let exec_snapshot_batch t snap rid ops =
+(* A snapshot batch reads the session's detached view; anything that
+   could change state (or pretends to: transaction control) is
+   refused. *)
+let exec_batch t sess rid ops =
   let t0 = Hyper_util.Mtime_stub.now_ns () in
-  let outcomes =
-    List.map
-      (fun op ->
-        match op with
-        | Trace.Begin | Trace.Commit | Trace.Abort ->
-          Trace.Raised "Snapshot_read_only"
-        | op when Trace.is_mutation op -> Trace.Raised "Snapshot_read_only"
-        | op -> Trace.apply ~reraise:t.reraise ~layout:t.layout snap op)
-      ops
+  let apply op =
+    match (sess.snap, op) with
+    | Some _, (Trace.Begin | Trace.Commit | Trace.Abort) ->
+      Trace.Raised "Snapshot_read_only"
+    | Some _, op when Trace.is_mutation op -> Trace.Raised "Snapshot_read_only"
+    | Some snap, op -> Trace.apply ~reraise:t.reraise ~layout:t.layout snap op
+    | None, op ->
+      let o = Trace.apply ~reraise:t.reraise ~layout:t.layout t.instance op in
+      (match (op, o) with
+      | Trace.Begin, Trace.Done _ -> sess.in_txn <- true
+      | (Trace.Commit | Trace.Abort), _ -> sess.in_txn <- false
+      | _ -> ());
+      o
   in
+  let outcomes = List.map apply ops in
   Obs.Counter.incr m_requests;
   Obs.Counter.add m_ops (List.length ops);
   Obs.Histogram.observe m_batch_ns
     (Int64.to_float (Int64.sub (Hyper_util.Mtime_stub.now_ns ()) t0));
   Wire.Results { rid; outcomes }
 
-let exec_batch t sess rid ops =
-  match sess.snap with
-  | Some snap -> exec_snapshot_batch t snap rid ops
-  | None ->
-    if not sess.holds_lease then begin
-      Sync.Mutex.lock t.engine;
-      sess.holds_lease <- true
-    end;
-    let t0 = Hyper_util.Mtime_stub.now_ns () in
-    let outcomes =
-      List.map
-        (fun op ->
-          let o =
-            Trace.apply ~reraise:t.reraise ~layout:t.layout t.instance op
-          in
-          (match (op, o) with
-          | Trace.Begin, Trace.Done _ -> sess.in_txn <- true
-          | (Trace.Commit | Trace.Abort), _ -> sess.in_txn <- false
-          | _ -> ());
-          o)
-        ops
-    in
-    Obs.Counter.incr m_requests;
-    Obs.Counter.add m_ops (List.length ops);
-    Obs.Histogram.observe m_batch_ns
-      (Int64.to_float (Int64.sub (Hyper_util.Mtime_stub.now_ns ()) t0));
-    if not sess.in_txn then release_lease t sess;
-    Wire.Results { rid; outcomes }
-
 let take_snapshot t sess rid =
-  if sess.in_txn then begin
-    Obs.Counter.incr m_faults;
-    Wire.Fault
-      {
-        rid;
-        code = Wire.F_bad_op;
-        message = "snapshot: session is inside a transaction";
-      }
-  end
-  else begin
-    (* Hold the lease only for the clone itself, so the view cannot
-       interleave with another session's in-flight batch; it is
-       released before any snapshot read runs. *)
-    Sync.Mutex.lock t.engine;
-    let snap = Backend.instance_snapshot t.instance in
-    Sync.Mutex.unlock t.engine;
-    match snap with
+  if sess.in_txn then
+    fault rid Wire.F_bad_op "snapshot: session is inside a transaction"
+  else
+    match Backend.instance_snapshot t.instance with
     | None ->
-      Obs.Counter.incr m_faults;
-      Wire.Fault
-        {
-          rid;
-          code = Wire.F_bad_op;
-          message =
-            Printf.sprintf "snapshot: backend %s cannot produce a detached view"
-              (Backend.instance_name t.instance);
-        }
+      fault rid Wire.F_bad_op
+        (Printf.sprintf "snapshot: backend %s cannot produce a detached view"
+           (Backend.instance_name t.instance))
     | Some view ->
       sess.snap <- Some view;
-      Wire.Results { rid; outcomes = [ Trace.Done Trace.V_unit ] }
-  end
+      unit_reply rid
 
-let handle_request t sess = function
-  | Wire.Hello { client = _; protocol } ->
-    if protocol <> Wire.protocol_version then begin
-      Obs.Counter.incr m_faults;
-      sess.closing <- true;
-      Some
-        (Wire.Fault
-           {
-             rid = -1;
-             code = Wire.F_bad_frame;
-             message =
-               Printf.sprintf "protocol %d, server speaks %d" protocol
-                 Wire.protocol_version;
-           })
-    end
-    else
-      Some
-        (Wire.Welcome
-           {
-             session = sess.sid;
-             server = t.name;
-             protocol = Wire.protocol_version;
-           })
-  | Wire.Ping { rid } -> Some (Wire.Pong { rid })
-  | Wire.Snapshot { rid; active } ->
-    if active then Some (take_snapshot t sess rid)
-    else begin
-      sess.snap <- None;
-      Some (Wire.Results { rid; outcomes = [ Trace.Done Trace.V_unit ] })
-    end
-  | Wire.Bye ->
-    sess.closing <- true;
-    None
-  | Wire.Ops { rid; ops } -> (
-    (* Deliberate normalization seam: crash points are checked first
-       and kill the server un-acked; every other backend exception
-       becomes a typed Fault reply after rollback — a serving loop
-       must not die on a bad request. *)
-    try Some (exec_batch t sess rid ops)
-    with e ->
-      (if t.reraise e then begin
-        (* Crash point: die without acking the in-flight batch.  The
-           engine mutex stays held by this (exiting) thread — the
-           server object is dead and nothing locks it again. *)
-        t.crash <- Some e;
-        t.killed <- true;
+(* Deliberate normalization seam: crash points are checked first and
+   kill the server un-acked; every other backend exception becomes a
+   typed Fault reply after rollback — a serving loop must not die on a
+   bad request. *)
+let guarded t sess rid f =
+  (match f () with
+  | resp -> send sess resp
+  | exception e when t.reraise e ->
+    t.crash <- Some e;
+    Atomic.set t.killed true
+  | exception e ->
+    rollback t sess;
+    send sess (fault rid Wire.F_internal (Printexc.to_string e)))
+  [@lint.allow "no-catchall-swallow"]
+
+let run t sess = function
+  | Wire.Hello { client = _; protocol } when protocol <> Wire.protocol_version ->
+    send sess
+      (fault (-1) Wire.F_bad_frame
+         (Printf.sprintf "protocol %d, server speaks %d" protocol
+            Wire.protocol_version));
+    sess.closing <- true
+  | Wire.Hello _ ->
+    send sess
+      (Wire.Welcome
+         { session = sess.sid; server = t.name; protocol = Wire.protocol_version })
+  | Wire.Ping { rid } -> send sess (Wire.Pong { rid })
+  | Wire.Snapshot { rid; active = true } ->
+    guarded t sess rid (fun () -> take_snapshot t sess rid)
+  | Wire.Snapshot { rid; active = false } ->
+    sess.snap <- None;
+    send sess (unit_reply rid)
+  | Wire.Bye -> sess.closing <- true
+  | Wire.Ops { rid; ops } -> guarded t sess rid (fun () -> exec_batch t sess rid ops)
+
+(* The open transaction's owner, derived: at most one session has
+   [in_txn] set, because a live batch runs only when no other session
+   owns one. *)
+let owner t =
+  Hashtbl.fold (fun _ s acc -> if s.in_txn then Some s else acc) t.sessions None
+
+(* Requests that need the engine (a live batch, taking a snapshot) wait
+   behind the owner and behind sessions parked before them. *)
+let runnable t sess = function
+  | Wire.Ops _ when Option.is_some sess.snap -> true
+  | Wire.Ops _ | Wire.Snapshot { active = true; _ } ->
+    sess.in_txn || (Queue.is_empty t.waiting && Option.is_none (owner t))
+  | Wire.Hello _ | Wire.Ping _ | Wire.Snapshot _ | Wire.Bye -> true
+
+(* Answer complete frames in arrival order — the in-order guarantee is
+   exactly this loop.  It stops at a parked request and while a reply
+   is still pending, so a client that does not read stalls only its own
+   session. *)
+let rec pump t sess =
+  if
+    (not (sess.closing || pending sess || Atomic.get t.killed))
+    && Option.is_none sess.parked
+  then
+    match Wire.Decoder.next sess.dec with
+    | None -> ()
+    | Some (Error e) ->
+      send sess (fault (-1) Wire.F_bad_frame (Wire.error_to_string e));
+      sess.closing <- true
+    | Some (Ok req) when runnable t sess req ->
+      run t sess req;
+      pump t sess
+    | Some (Ok req) ->
+      sess.parked <- Some req;
+      Queue.push sess t.waiting
+
+(* Hand the engine to parked sessions, oldest first, while no
+   transaction is open. *)
+let rec resume t =
+  if Option.is_none (owner t) then
+    match Queue.take_opt t.waiting with
+    | None -> ()
+    | Some sess ->
+      Option.iter
+        (fun req ->
+          sess.parked <- None;
+          run t sess req;
+          pump t sess)
+        sess.parked;
+      if not (Atomic.get t.killed) then resume t
+
+(* --- the loop --- *)
+
+let accept t =
+  match Unix.accept t.listen_fd with
+  | exception Unix.Unix_error (e, _, _) ->
+    (* EMFILE, ENFILE, ECONNABORTED...: the server keeps accepting.
+       Leaving the listening socket out of the next [select] keeps a
+       full fd table from spinning the loop. *)
+    t.accept_failed <- not (would_block e)
+  | fd, _ -> (
+    (* [select] raises EINVAL for every watched fd once one is past
+       FD_SETSIZE; such a connection is refused here instead. *)
+    match Unix.select [ fd ] [] [] 0.0 with
+    | exception Unix.Unix_error _ -> close_quiet fd
+    | _ ->
+      Unix.set_nonblock fd;
+      Obs.Counter.incr m_sessions;
+      let dec = Wire.Decoder.create_request ~max_frame:t.max_frame () in
+      Hashtbl.replace t.sessions fd
+        { sid = t.next_sid; fd; dec; out = Bytes.empty; sent = 0;
+          in_txn = false; snap = None; parked = None; closing = false };
+      t.next_sid <- t.next_sid + 1)
+
+(* Close finished sessions.  Draining, every session with nothing left
+   to do goes once a tick passes [quiet] (nothing read or written); past
+   the grace deadline every session that is not parked goes, rolling
+   back the open transaction, so the parked ones resume. *)
+let reap t ~quiet =
+  let drain_at = Atomic.get t.drain_at in
+  let expired =
+    Option.fold ~none:false
+      ~some:(fun d -> Hyper_util.Mtime_stub.now_ns () > d)
+      drain_at
+  in
+  Hashtbl.filter_map_inplace
+    (fun _ sess ->
+      let parked = Option.is_some sess.parked in
+      if
+        (sess.closing && not (pending sess))
+        || (expired && not parked)
+        || quiet && Option.is_some drain_at && (not parked)
+           && (not (pending sess))
+           && Wire.Decoder.buffered sess.dec = 0
+      then begin
+        rollback t sess;
+        sess.parked <- None;
+        close_quiet sess.fd;
         None
       end
-      else begin
-        Obs.Counter.incr m_faults;
-        if sess.in_txn then rollback t sess else release_lease t sess;
-        Some
-          (Wire.Fault
-             { rid; code = Wire.F_internal; message = Printexc.to_string e })
-      end)
-      [@lint.allow "no-catchall-swallow"])
+      else Some sess)
+    t.sessions
 
-(* Pump every complete frame out of the decoder, replying in arrival
-   order — the pipelining/in-order guarantee is exactly this loop. *)
-let process_frames t sess =
-  let continue = ref true in
-  while !continue && (not sess.closing) && not t.killed do
-    match Wire.Decoder.next sess.dec with
-    | None -> continue := false
-    | Some (Error e) ->
-      Obs.Counter.incr m_faults;
-      (try
-         send_all sess.fd
-           (Wire.encode_response
-              (Wire.Fault
-                 {
-                   rid = -1;
-                   code = Wire.F_bad_frame;
-                   message = Wire.error_to_string e;
-                 }))
-       with Unix.Unix_error _ -> ());
-      sess.closing <- true
-    | Some (Ok req) -> (
-      match handle_request t sess req with
-      | None -> ()
-      | Some resp -> (
-        try send_all sess.fd (Wire.encode_response resp)
-        with Unix.Unix_error _ -> sess.closing <- true))
-  done
+let tick t =
+  if t.listening && Option.is_some (Atomic.get t.drain_at) then begin
+    t.listening <- false;
+    close_quiet t.listen_fd
+  end;
+  let listen = if t.listening && not t.accept_failed then [ t.listen_fd ] else [] in
+  t.accept_failed <- false;
+  let reads, writes =
+    Hashtbl.fold
+      (fun fd sess (r, w) ->
+        if pending sess then (r, fd :: w)
+        else if sess.closing || Option.is_some sess.parked then (r, w)
+        else (fd :: r, w))
+      t.sessions (listen, [])
+  in
+  match Unix.select reads writes [] 0.05 with
+  | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
+  | readable, writable, _ ->
+    let serve_fd io fd =
+      if fd = t.listen_fd then accept t
+      else
+        Option.iter
+          (fun sess ->
+            io sess;
+            pump t sess)
+          (Hashtbl.find_opt t.sessions fd)
+    in
+    List.iter (serve_fd flush) writable;
+    List.iter (serve_fd (receive t)) readable;
+    if not (Atomic.get t.killed) then begin
+      reap t ~quiet:(readable = [] && writable = []);
+      resume t
+    end
 
-let close_session t sess =
-  (* After [kill] the engine must not be touched (the crash fuzzer's
-     backend raises on any access); just drop the socket. *)
-  if not t.killed then rollback t sess;
-  close_quiet sess.fd;
-  locked t (fun () ->
-      t.sessions <- List.filter (fun s -> s.sid <> sess.sid) t.sessions)
+(* After a crash or [kill] the engine must not be touched (the crash
+   fuzzer's backend raises on any access): sockets just close. *)
+let serve t =
+  Fun.protect
+    ~finally:(fun () ->
+      Hashtbl.iter (fun fd _ -> close_quiet fd) t.sessions;
+      Hashtbl.reset t.sessions;
+      if t.listening then close_quiet t.listen_fd)
+    (fun () ->
+      while
+        not
+          (Atomic.get t.killed
+          || ((not t.listening) && Hashtbl.length t.sessions = 0))
+      do
+        tick t
+      done)
 
-let session_loop t sess =
-  let buf = Bytes.create 8192 in
-  let drain_deadline = ref None in
-  (try
-     while (not sess.closing) && not t.killed do
-       process_frames t sess;
-       if (not sess.closing) && not t.killed then begin
-         (match (t.draining, !drain_deadline) with
-         | true, None ->
-           drain_deadline :=
-             Some
-               (Int64.add
-                  (Hyper_util.Mtime_stub.now_ns ())
-                  (Int64.of_float (t.drain_grace *. 1e9)))
-         | _ -> ());
-         (match Unix.select [ sess.fd ] [] [] 0.05 with
-         | [], _, _ ->
-           if !drain_deadline <> None then
-             (* Draining and idle: everything received has been
-                answered; time to go. *)
-             sess.closing <- true
-         | _ -> (
-           (* socket read, not store I/O — outside the Vfs seam *)
-           match
-             (Unix.read sess.fd buf 0 (Bytes.length buf)
-             [@lint.allow "vfs-boundary"])
-           with
-           | 0 -> sess.closing <- true (* EOF *)
-           | n -> Wire.Decoder.feed sess.dec buf ~off:0 ~len:n
-           | exception
-               Unix.Unix_error
-                 ((Unix.ECONNRESET | Unix.EPIPE | Unix.EBADF), _, _) ->
-             sess.closing <- true));
-         match !drain_deadline with
-         | Some d when Hyper_util.Mtime_stub.now_ns () > d ->
-           sess.closing <- true
-         | _ -> ()
-       end
-     done
-   with Unix.Unix_error _ -> ());
-  close_session t sess
-
-(* --- accept loop and lifecycle --- *)
-
-let accept_loop t =
-  (try
-     while not (t.draining || t.killed) do
-       match Unix.select [ t.listen_fd ] [] [] 0.05 with
-       | [], _, _ -> ()
-       | _ -> (
-         match Unix.accept t.listen_fd with
-         | fd, _ ->
-           Obs.Counter.incr m_sessions;
-           let sid =
-             locked t (fun () ->
-                 let s = t.next_sid in
-                 t.next_sid <- s + 1;
-                 s)
-           in
-           let sess =
-             {
-               sid;
-               fd;
-               dec = Wire.Decoder.create_request ~max_frame:t.max_frame ();
-               in_txn = false;
-               holds_lease = false;
-               snap = None;
-               closing = false;
-               thread = None;
-             }
-           in
-           locked t (fun () -> t.sessions <- sess :: t.sessions);
-           sess.thread <- Some (Thread.create (fun () -> session_loop t sess) ())
-         | exception Unix.Unix_error ((Unix.EBADF | Unix.EINVAL), _, _) -> ())
-     done
-   with Unix.Unix_error _ -> ());
-  close_quiet t.listen_fd
+(* --- lifecycle --- *)
 
 let start ?(name = "hypermodel") ?(reraise = fun _ -> false)
     ?(max_frame = Wire.max_frame_default) ~layout instance address =
@@ -352,6 +351,7 @@ let start ?(name = "hypermodel") ?(reraise = fun _ -> false)
   | Netaddr.Unix_sock _ -> ());
   Unix.bind listen_fd (Netaddr.to_sockaddr address);
   Unix.listen listen_fd 512;
+  Unix.set_nonblock listen_fd;
   let t =
     {
       name;
@@ -361,45 +361,28 @@ let start ?(name = "hypermodel") ?(reraise = fun _ -> false)
       instance;
       address;
       listen_fd;
-      engine = Sync.Mutex.create ~rank:10 "net.server.engine";
-      lock = Sync.Mutex.create ~rank:40 "net.server.sessions";
-      sessions = [];
-      draining = false;
-      drain_grace = 5.0;
-      killed = false;
+      sessions = Hashtbl.create 64;
+      waiting = Queue.create ();
+      buf = Bytes.create 65536;
+      drain_at = Atomic.make None;
+      killed = Atomic.make false;
       crash = None;
+      listening = true;
+      accept_failed = false;
       next_sid = 1;
-      accept_thread = None;
+      thread = None;
     }
   in
-  t.accept_thread <- Some (Thread.create (fun () -> accept_loop t) ());
+  t.thread <- Some (Thread.create serve t);
   t
 
-let join_all t =
-  (match t.accept_thread with Some th -> Thread.join th | None -> ());
-  let rec drain_threads () =
-    match locked t (fun () -> t.sessions) with
-    | [] -> ()
-    | sessions ->
-      List.iter
-        (fun s -> match s.thread with Some th -> Thread.join th | None -> ())
-        sessions;
-      drain_threads ()
-  in
-  drain_threads ()
+let join t = Option.iter Thread.join t.thread
 
 let drain ?(grace_s = 5.0) t =
-  locked t (fun () ->
-      t.drain_grace <- grace_s;
-      t.draining <- true);
-  join_all t
+  let now = Hyper_util.Mtime_stub.now_ns () in
+  Atomic.set t.drain_at (Some (Int64.add now (Int64.of_float (grace_s *. 1e9))));
+  join t
 
 let kill t =
-  locked t (fun () -> t.killed <- true);
-  close_quiet t.listen_fd;
-  (* Snapshot under the lock, close outside it: [Unix.close] can block
-     on a socket with unflushed data, and the session threads never
-     need the list to notice [killed]. *)
-  let sessions = locked t (fun () -> t.sessions) in
-  List.iter (fun s -> close_quiet s.fd) sessions;
-  join_all t
+  Atomic.set t.killed true;
+  join t

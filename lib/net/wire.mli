@@ -47,9 +47,10 @@ type request =
   | Ping of { rid : int }
   | Snapshot of { rid : int; active : bool }
       (** Toggle snapshot mode on the session.  [active = true] pins a
-          consistent read-only view of the committed state; subsequent
-          [Ops] batches read the view without taking the engine lease,
-          so they proceed while another session holds it.  Mutations and
+          consistent read-only view of the committed state, parked
+          while another session's transaction is open; subsequent
+          [Ops] batches read the view and never park, so they proceed
+          while another session's transaction is open.  Mutations and
           transaction control inside a snapshot raise
           [Snapshot_read_only].  [active = false] drops the view.  The
           server replies [Results] with one [Done V_unit], or [Fault]

@@ -161,9 +161,7 @@ let decode t payload =
 (* Zero-copy read: hand the record to [k] as a range of a pinned page
    buffer when it is inline (the common case — records up to a page),
    without extracting it first.  Overflow records are assembled into a
-   fresh buffer outside the pin, as before.  [legacy_copies] restores
-   the historic two copies (slot extraction + tag strip) for baseline
-   benchmarking. *)
+   fresh buffer outside the pin, as before. *)
 let read_with t rid k =
   let res =
     Buffer_pool.with_page t.pool (rid_page rid) (fun page ->
@@ -171,13 +169,7 @@ let read_with t rid k =
         if len = 0 then
           invalid_arg "Heap: corrupt record (empty payload)";
         match Bytes.get page off with
-        | c when c = tag_inline ->
-          if !Storage_tuning.legacy_copies then begin
-            let payload = Bytes.sub page off len in
-            let data = Bytes.sub payload 1 (len - 1) in
-            `Done (k data ~off:0 ~len:(len - 1))
-          end
-          else `Done (k page ~off:(off + 1) ~len:(len - 1))
+        | c when c = tag_inline -> `Done (k page ~off:(off + 1) ~len:(len - 1))
         | c when c = tag_overflow ->
           `Ovf (Page.get_u32 page (off + 1), Page.get_u32 page (off + 5))
         | c ->

@@ -112,9 +112,7 @@ let read_view t id =
     data.Vfs.pread ~buf ~off:(id * Page.size);
     verify_sum ~data ~sums id buf;
     (buf, true)
-  | Memory m ->
-    if !Storage_tuning.legacy_copies then (Bytes.copy m.pages.(id), true)
-    else (m.pages.(id), false)
+  | Memory m -> (m.pages.(id), false)
 
 let read t id =
   let buf, owned = read_view t id in
@@ -152,12 +150,7 @@ let read_many_views t ids =
       in
       verify ids bufs sum_bufs;
       List.map (fun buf -> (buf, true)) bufs
-    | Memory m ->
-      List.map
-        (fun id ->
-          if !Storage_tuning.legacy_copies then (Bytes.copy m.pages.(id), true)
-          else (m.pages.(id), false))
-        ids
+    | Memory m -> List.map (fun id -> (m.pages.(id), false)) ids
   end
 
 let read_many t ids =

@@ -46,8 +46,7 @@ val read : t -> int -> bytes
 val read_view : t -> int -> bytes * bool
 (** Zero-copy read: the page contents plus an ownership flag.  [(buf,
     true)] — [buf] is freshly allocated and the caller may keep and
-    mutate it (File backing, or any backing with
-    {!Storage_tuning.legacy_copies} set).  [(buf, false)] — [buf]
+    mutate it (File backing).  [(buf, false)] — [buf]
     aliases the pager's in-memory backing store: treat it as read-only,
     copy before mutating, and do not retain it past the next {!write}
     or {!allocate} of the same page (the store then swaps the buffer

@@ -42,7 +42,7 @@ module Mutex : sig
   val create : ?rank:int -> string -> t
   (** [create ?rank name] makes a named mutex.  [name] is the lock
       class for the order graph and the metrics label; follow the
-      [area.module.role] convention ("net.server.engine").  [rank]
+      [area.module.role] convention ("core.multiuser.db").  [rank]
       places the class in the declared hierarchy checked by lockdep and
       by the [lock-order] lint rule: locks must be acquired in strictly
       increasing rank order (outermost = lowest).  Unranked locks are

@@ -1,7 +1,9 @@
 (* Server integration battery over a real unix socket: per-session
    transaction isolation under concurrency, pipelined in-order replies,
-   mid-transaction client death rolling back, graceful drain, and
-   client reconnect-with-backoff across a server restart. *)
+   mid-transaction client death rolling back, graceful drain, client
+   reconnect-with-backoff across a server restart, parking behind an
+   open transaction, and per-connection failures (a client that never
+   reads, an exhausted fd table) staying per-connection. *)
 
 open Hyper_core
 open Hyper_net
@@ -11,8 +13,9 @@ module Gen = Generator.Make (M)
 let check = Alcotest.check
 
 (* The whole battery runs under the lockdep deadlock detector: any
-   lock-order inversion the server threads perform during the run is a
-   failure even if every assertion passes (checked after the run). *)
+   lock-order inversion the server and client threads perform during
+   the run is a failure even if every assertion passes (checked after
+   the run). *)
 module Lockdep = Hyper_util.Sync.Lockdep
 
 let () = Lockdep.enable ()
@@ -82,7 +85,8 @@ let test_commit_and_abort_visibility () =
 
 let test_concurrent_txns_serialize () =
   (* 8 clients × 8 read-modify-write transactions on one attribute.
-     The engine lease serialises whole transactions, so no increment
+     While one session's transaction is open every other session's
+     live batch parks, so whole transactions serialise and no increment
      can be lost. *)
   with_server "rmw" (fun _srv addr layout ->
       let oid = probe_oid layout in
@@ -186,8 +190,8 @@ let test_client_kill_mid_txn_rolls_back () =
       | _ -> Alcotest.fail "txn ops not acked");
       (* vanish mid-transaction *)
       Unix.close fd;
-      (* the observer's next call needs the engine lease, so it blocks
-         until the server has rolled the dead session back *)
+      (* the observer's next call needs the engine, so it parks until
+         the server has rolled the dead session back *)
       check Alcotest.int "mid-txn write rolled back" before
         (get_hundred observer oid);
       Client.close observer)
@@ -311,9 +315,10 @@ let test_snapshot_reads_bypass_lease () =
   with_server "snaplease" (fun _srv addr _layout ->
       let w = connect addr and r = connect addr in
       Client.snapshot r ~active:true;
-      (* The writer parks inside a transaction, holding the engine
-         lease across batches.  The snapshot session must still get
-         replies — its reads never touch the lease. *)
+      (* The writer stays inside a transaction across batches, which
+         parks every live batch of other sessions.  The snapshot
+         session must still get replies — its reads never touch the
+         engine. *)
       (match Client.call w [ Trace.Begin; mk_create 2 ] with
       | [ Trace.Done _; Trace.Done _ ] -> ()
       | _ -> Alcotest.fail "begin failed");
@@ -352,6 +357,145 @@ let test_snapshot_inside_txn_rejected () =
       | _ -> Alcotest.fail "commit after fault failed");
       Client.close c)
 
+(* --- scheduling --- *)
+
+(* Run [f] on a thread and fail if it has not finished after [s]
+   seconds, so a stalled server fails the case instead of hanging the
+   battery. *)
+let within s what f =
+  let finished = Atomic.make false in
+  let th = Thread.create (fun () -> f (); Atomic.set finished true) () in
+  let now () = Int64.to_float (Hyper_util.Mtime_stub.now_ns ()) /. 1e9 in
+  let deadline = now () +. s in
+  while (not (Atomic.get finished)) && now () < deadline do
+    Thread.delay 0.01
+  done;
+  if not (Atomic.get finished) then Alcotest.failf "%s: no reply after %.0fs" what s;
+  Thread.join th
+
+let test_live_read_waits_for_commit () =
+  with_server "park" (fun _srv addr layout ->
+      let oid = probe_oid layout in
+      let a = connect addr and b = connect addr in
+      let v = get_hundred a oid + 5 in
+      (match Client.call a [ Trace.Begin; Trace.Set_hundred { oid; value = v } ] with
+      | [ Trace.Done _; Trace.Done _ ] -> ()
+      | _ -> Alcotest.fail "txn write failed");
+      (* B's live read parks behind A's open transaction: it may only
+         be answered once A's commit has been sent. *)
+      let committing = Atomic.make false in
+      let seen = ref (false, 0) in
+      let reader =
+        Thread.create
+          (fun () ->
+            let h = get_hundred b oid in
+            seen := (Atomic.get committing, h))
+          ()
+      in
+      Thread.delay 0.1;
+      Atomic.set committing true;
+      (match Client.call a [ Trace.Commit ] with
+      | [ Trace.Done _ ] -> ()
+      | _ -> Alcotest.fail "commit failed");
+      within 5.0 "parked read" (fun () -> Thread.join reader);
+      let after_commit, h = !seen in
+      check Alcotest.bool "answered only after the commit" true after_commit;
+      check Alcotest.int "reads the committed value" v h;
+      Client.close a;
+      Client.close b)
+
+let test_snapshot_waits_for_commit () =
+  with_server "snappark" (fun _srv addr _layout ->
+      let a = connect addr and b = connect addr in
+      (match Client.call a [ Trace.Begin; mk_create 4 ] with
+      | [ Trace.Done _; Trace.Done _ ] -> ()
+      | _ -> Alcotest.fail "begin failed");
+      (* Cloning the engine inside A's transaction is impossible, so B's
+         snapshot request waits for the commit instead of faulting. *)
+      let committing = Atomic.make false in
+      let result = ref (Error "no reply") in
+      let taker =
+        Thread.create
+          (fun () ->
+            result :=
+              match Client.snapshot b ~active:true with
+              | () -> Ok (Atomic.get committing)
+              | exception Client.Server_fault (_, m) -> Error m)
+          ()
+      in
+      Thread.delay 0.1;
+      Atomic.set committing true;
+      (match Client.call a [ Trace.Commit ] with
+      | [ Trace.Done _ ] -> ()
+      | _ -> Alcotest.fail "commit failed");
+      within 5.0 "parked snapshot" (fun () -> Thread.join taker);
+      (match !result with
+      | Ok after_commit ->
+        check Alcotest.bool "snapshot taken after the commit" true after_commit
+      | Error m -> Alcotest.failf "snapshot faulted: %s" m);
+      check Alcotest.bool "the view holds A's commit" true (lookup b 4 <> None);
+      Client.close a;
+      Client.close b)
+
+let raw_connect addr =
+  let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  (match addr with
+  | Netaddr.Unix_sock p -> Unix.connect fd (Unix.ADDR_UNIX p)
+  | _ -> assert false);
+  fd
+
+let test_unread_replies_stall_one_session () =
+  with_server "noread" (fun _srv addr layout ->
+      let oid = probe_oid layout in
+      (* A raw session pipelines reads and never reads a reply: once
+         the socket buffers fill, the server holds its replies and stops
+         reading from it. *)
+      let fd = raw_connect addr in
+      let frame = Wire.encode_request (Wire.Ops { rid = 1; ops = [ Trace.Attrs oid ] }) in
+      let chunk = Bytes.concat Bytes.empty (List.init 100 (fun _ -> frame)) in
+      Unix.set_nonblock fd;
+      let rec flood n =
+        if n > 0 then
+          match Unix.write fd chunk 0 (Bytes.length chunk) with
+          | _ -> flood (n - 1)
+          | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ()
+      in
+      (* Closing the raw socket first unblocks a server stuck writing
+         to it, so a failure here cannot hang the shutdown. *)
+      Fun.protect
+        ~finally:(fun () -> Unix.close fd)
+        (fun () ->
+          flood 100_000;
+          within 5.0 "second client" (fun () ->
+              let c = connect addr in
+              ignore (get_hundred c oid);
+              Client.close c)))
+
+let test_accept_survives_emfile () =
+  with_server "emfile" (fun _srv addr layout ->
+      let oid = probe_oid layout in
+      let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+      (* Fill the fd table so the server's accept of the next
+         connection fails with EMFILE. *)
+      let spare = ref [] in
+      (try
+         for _ = 1 to 1_000_000 do
+           spare := Unix.dup fd :: !spare
+         done
+       with Unix.Unix_error ((Unix.EMFILE | Unix.ENFILE), _, _) -> ());
+      let exhausted = List.length !spare < 1_000_000 in
+      (match addr with
+      | Netaddr.Unix_sock p -> (
+        try Unix.connect fd (Unix.ADDR_UNIX p) with Unix.Unix_error _ -> ())
+      | _ -> assert false);
+      Thread.delay 0.2;
+      List.iter Unix.close !spare;
+      Unix.close fd;
+      if not exhausted then Alcotest.skip ();
+      let c = connect addr in
+      check Alcotest.bool "still accepting" true (get_hundred c oid >= 0);
+      Client.close c)
+
 let () =
   Alcotest.run "test_server"
     [
@@ -386,6 +530,17 @@ let () =
             test_snapshot_session_read_only;
           Alcotest.test_case "rejected inside txn" `Quick
             test_snapshot_inside_txn_rejected;
+        ] );
+      ( "scheduling",
+        [
+          Alcotest.test_case "live read waits for commit" `Quick
+            test_live_read_waits_for_commit;
+          Alcotest.test_case "snapshot waits for commit" `Quick
+            test_snapshot_waits_for_commit;
+          Alcotest.test_case "unread replies stall one session" `Quick
+            test_unread_replies_stall_one_session;
+          Alcotest.test_case "accept survives EMFILE" `Quick
+            test_accept_survives_emfile;
         ] );
     ]
 

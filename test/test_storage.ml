@@ -426,24 +426,6 @@ let test_heap_read_with_views () =
           check Alcotest.int "overflow length" 20_000 len;
           check Alcotest.bytes "overflow assembled" big (Bytes.sub b off len)))
 
-(* The [legacy_copies] tuning knob must change allocation behaviour
-   only, never results. *)
-let test_heap_legacy_copies_equivalence () =
-  with_heap (fun _pool heap ->
-      let small = Bytes.of_string "legacy-vs-zero-copy" in
-      let big = Bytes.init 9_000 (fun i -> Char.chr (i * 3 mod 256)) in
-      let r1 = Heap.insert heap small in
-      let r2 = Heap.insert heap big in
-      let read_all () = (Heap.read heap r1, Heap.read heap r2) in
-      let fast = read_all () in
-      Fun.protect
-        ~finally:(fun () -> Storage_tuning.legacy_copies := false)
-        (fun () ->
-          Storage_tuning.legacy_copies := true;
-          let legacy = read_all () in
-          check Alcotest.bytes "small record equal" (fst fast) (fst legacy);
-          check Alcotest.bytes "big record equal" (snd fast) (snd legacy)))
-
 let test_heap_iter_order_and_attach () =
   with_file_pager "heap2" (fun pager _ ->
       let pool = Buffer_pool.create pager ~capacity:64 in
@@ -725,8 +707,6 @@ let () =
           Alcotest.test_case "clustering hint" `Quick test_heap_clustering_hint;
           Alcotest.test_case "iter and attach" `Quick test_heap_iter_order_and_attach;
           Alcotest.test_case "read_with views" `Quick test_heap_read_with_views;
-          Alcotest.test_case "legacy copies equivalence" `Quick
-            test_heap_legacy_copies_equivalence;
         ] );
       ( "freelist",
         [ Alcotest.test_case "lifo push/pop" `Quick test_freelist_lifo ] );
